@@ -1,18 +1,22 @@
 # Tier-1 verification and development targets.
 #
-# `make tier1` is the CI gate: build, vet, and the full test suite under
-# the race detector (the fault-injection and resilience tests exercise
-# heavy goroutine churn, so they must stay race-clean). `make fuzz` runs
-# the parser/artifact fuzz targets for a short burst — not part of tier1,
-# but run it after touching the CSV loader or the model artifact codec.
+# `make tier1` is the CI gate: build, the serving fast-path selftest,
+# vet, and the full test suite once under the race detector (the
+# fault-injection and resilience tests exercise heavy goroutine churn, so
+# they must stay race-clean). The race-* targets race-check one layer in
+# isolation for a fast inner loop; tier1 does not repeat them, since
+# `go test -race ./...` already runs every one of their packages. `make
+# fuzz` runs the parser/artifact/wire fuzz targets for a short burst — not
+# part of tier1, but run it after touching the CSV loader, the model
+# artifact codec or the binary batch frames.
 
 GO ?= go
 FUZZTIME ?= 5s
 
 .PHONY: tier1 build vet test race race-core race-parallel race-fleet race-ingest race-load race-abr parity bench bench-json bench-serve bench-fleet bench-ingest bench-load bench-abr fmt fuzz
 
-tier1: ## build + vet + race-enabled test suite (run `make fuzz` too when touching parsers)
-	$(GO) build ./... && $(GO) build -o bin/lumosbench ./cmd/lumosbench && ./bin/lumosbench -selftest && $(GO) vet ./... && $(GO) test -race ./internal/obs/... ./internal/mapserver/... && $(MAKE) race-fleet && $(MAKE) race-ingest && $(MAKE) race-load && $(MAKE) race-abr && $(GO) test -race ./...
+tier1: ## build + selftest + vet + race-enabled test suite (run `make fuzz` too when touching parsers)
+	$(GO) build ./... && $(GO) build -o bin/lumosbench ./cmd/lumosbench && ./bin/lumosbench -selftest && $(GO) vet ./... && $(GO) test -race ./...
 
 build:
 	$(GO) build ./...
@@ -116,6 +120,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIngestSample -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledParity -fuzztime=$(FUZZTIME) ./internal/ml/compiled
 	$(GO) test -run='^$$' -fuzz=FuzzSimulate -fuzztime=$(FUZZTIME) ./internal/abr
+	$(GO) test -run='^$$' -fuzz=FuzzRouteKey -fuzztime=$(FUZZTIME) ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeQueries -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeResults -fuzztime=$(FUZZTIME) ./internal/wire
 
 fmt:
 	gofmt -w ./cmd ./internal ./examples *.go

@@ -41,7 +41,37 @@ type FallbackChain struct {
 	// served[i] counts queries answered by tier i; the last slot is the
 	// harmonic-mean / prior last resort.
 	served []atomic.Uint64
+	// plans[i] resolves tiers[i]'s feature names against the serving
+	// schema once, at construction.
+	plans []tierPlan
+	// missing interns the first tier's Missing list per validity mask
+	// (restricted to the first tier's columns). It is a copy-on-write map
+	// read lock-free: a served row costs one pointer load and one lookup,
+	// and every answer degraded under the same mask shares one read-only
+	// slice. A sync.Map would box the key and allocate per lookup.
+	missing atomic.Pointer[map[features.Mask][]string]
 }
+
+// tierPlan is one tier's feature columns in the serving schema.
+type tierPlan struct {
+	// cols holds the schema column of each feature name, in name order;
+	// a name outside the schema maps to unknownCol.
+	cols []features.Col
+	// need is the set of cols: the tier serves a query exactly when the
+	// query's validity mask covers it.
+	need features.Mask
+}
+
+// unknownCol stands for a feature name outside the serving schema (an
+// artifact may carry any names). Its bit lies above every schema column,
+// so no query can cover a need that includes it: an unknown column is
+// never usable, and a tier reading one never serves.
+const unknownCol = features.NumCols
+
+// maxInternedMasks bounds the interned Missing lists. The serving
+// engine sets at most five columns, so it produces at most 32 masks;
+// callers feeding arbitrary maps past the bound get fresh slices.
+const maxInternedMasks = 256
 
 // LastResortGroup is the Source label of chain predictions served by the
 // featureless last resort.
@@ -62,7 +92,9 @@ type ChainPrediction struct {
 	// Degraded reports that at least the first tier was skipped.
 	Degraded bool
 	// Missing lists the first tier's unusable feature columns when the
-	// prediction is degraded (why the preferred model could not run).
+	// prediction is degraded (why the preferred model could not run). The
+	// slice is interned per validity mask and may be shared across
+	// answers and rows: it must not be modified.
 	Missing []string
 	// P10 and P90 bound the nominal 80% prediction band around Mbps
 	// (which is the p50 of the triple). They are filled only by
@@ -102,6 +134,19 @@ func NewFallbackChain(priorMbps float64, tiers ...*Predictor) (*FallbackChain, e
 		prior: priorMbps,
 	}
 	c.served = make([]atomic.Uint64, len(c.tiers)+1)
+	c.plans = make([]tierPlan, len(c.tiers))
+	for i, p := range c.tiers {
+		plan := tierPlan{cols: make([]features.Col, len(p.names))}
+		for j, n := range p.names {
+			col, ok := features.ColumnOf(n)
+			if !ok {
+				col = unknownCol
+			}
+			plan.cols[j] = col
+			plan.need |= col.Bit()
+		}
+		c.plans[i] = plan
+	}
 	return c, nil
 }
 
@@ -223,7 +268,7 @@ func ChainFromPredictor(p *Predictor, priorMbps float64) (*FallbackChain, error)
 // query to the first tier that is fully satisfied. Predict never fails:
 // a nil or empty query is served by the last resort.
 func (c *FallbackChain) Predict(q map[string]float64) ChainPrediction {
-	return c.predict(q, false)
+	return c.predictOne(features.QueryOf(q), false)
 }
 
 // PredictInterval serves one query exactly like Predict — same tier
@@ -232,7 +277,40 @@ func (c *FallbackChain) Predict(q map[string]float64) ChainPrediction {
 // (degenerate when the tier is uncalibrated). The triple always
 // satisfies P10 <= Mbps <= P90.
 func (c *FallbackChain) PredictInterval(q map[string]float64) ChainPrediction {
-	return c.predict(q, true)
+	return c.predictOne(features.QueryOf(q), true)
+}
+
+// PredictBatch serves many queries at once, answering exactly as if
+// Predict were called on each in order — same tier attribution, same
+// served-counter totals — but batching each tier's satisfied queries
+// through the model's vectorised fast path. Queries a tier demotes
+// (missing sensors, or a non-finite tier prediction) stay pending for
+// the next tier, mirroring the per-query demotion loop.
+func (c *FallbackChain) PredictBatch(qs []map[string]float64) []ChainPrediction {
+	return c.predictMaps(qs, false)
+}
+
+// PredictIntervalBatch serves many queries with P10/P90 bands attached.
+// Element i equals PredictInterval(qs[i]) exactly — same tier walk,
+// same floats, same served-counter totals.
+func (c *FallbackChain) PredictIntervalBatch(qs []map[string]float64) []ChainPrediction {
+	return c.predictMaps(qs, true)
+}
+
+func (c *FallbackChain) predictOne(q features.Query, withIval bool) ChainPrediction {
+	var out [1]ChainPrediction
+	c.PredictQueries([]features.Query{q}, out[:], withIval)
+	return out[0]
+}
+
+func (c *FallbackChain) predictMaps(qs []map[string]float64, withIval bool) []ChainPrediction {
+	typed := make([]features.Query, len(qs))
+	for i, q := range qs {
+		typed[i] = features.QueryOf(q)
+	}
+	out := make([]ChainPrediction, len(qs))
+	c.PredictQueries(typed, out, withIval)
+	return out
 }
 
 // fillInterval attaches the serving tier's band to an answer whose Mbps
@@ -250,183 +328,177 @@ func fillInterval(cp *ChainPrediction, off *ml.ConformalOffsets) {
 	cp.HasInterval = true
 }
 
-func (c *FallbackChain) predict(q map[string]float64, withIval bool) ChainPrediction {
-	var firstMissing []string
-	for i, p := range c.tiers {
-		missing := features.MissingFeatures(q, p.names)
-		if i == 0 {
-			firstMissing = missing
-		}
-		if len(missing) > 0 {
-			continue
-		}
-		x := make([]float64, len(p.names))
-		for j, n := range p.names {
-			x[j] = q[n]
-		}
-		mbps := p.Predict(x)
-		if math.IsNaN(mbps) || math.IsInf(mbps, 0) {
-			// A tier that produces garbage is treated like a missing
-			// sensor: demote rather than propagate.
-			continue
-		}
-		if mbps < 0 {
-			mbps = 0
-		}
-		c.served[i].Add(1)
-		cp := ChainPrediction{
-			Mbps:     mbps,
-			Class:    ClassOf(mbps),
-			Tier:     i,
-			Source:   p.group.String(),
-			Degraded: i > 0,
-			Missing:  missingIfDegraded(firstMissing, i > 0),
-		}
-		if withIval {
-			fillInterval(&cp, p.ival)
-		}
-		return cp
+// PredictQueries is the chain's one serving core, over typed rows: it
+// answers qs[i] into out[i] (len(out) must equal len(qs)) exactly as
+// Predict — or PredictInterval when intervals is set — answers the
+// name-keyed form of the same query. Each tier takes the pending rows
+// whose validity covers its columns and runs them through its model as
+// one slab of feature rows; rows it cannot serve (missing columns, or a
+// non-finite prediction) stay pending for the next tier, and whatever no
+// tier serves goes to the last resort.
+func (c *FallbackChain) PredictQueries(qs []features.Query, out []ChainPrediction, intervals bool) {
+	if len(out) != len(qs) {
+		panic(fmt.Sprintf("lumos5g: PredictQueries out has %d slots for %d queries", len(out), len(qs)))
 	}
-	// Last resort: the query's own throughput history when usable,
-	// otherwise the training prior. Both are the HM estimator's domain.
-	mbps := c.prior
-	if v, ok := usableFeature(q, "past_tput_hmean"); ok {
-		mbps = v
-	} else if v, ok := usableFeature(q, "past_tput_last"); ok {
-		mbps = v
+	// Row-index scratch lives on the stack for small calls (the single
+	// query paths), so those cost one slab allocation per tier walked.
+	var small [2][8]int32
+	pending, ready := small[0][:0], small[1][:0]
+	if len(qs) > len(small[0]) {
+		pending, ready = make([]int32, 0, len(qs)), make([]int32, 0, len(qs))
 	}
-	c.served[len(c.tiers)].Add(1)
-	cp := ChainPrediction{
-		Mbps:     mbps,
-		Class:    ClassOf(mbps),
-		Tier:     len(c.tiers),
-		Source:   LastResortGroup,
-		Degraded: len(c.tiers) > 0,
-		Missing:  missingIfDegraded(firstMissing, len(c.tiers) > 0),
+	for i := range qs {
+		pending = append(pending, int32(i))
 	}
-	if withIval {
-		fillInterval(&cp, c.hmOff)
-	}
-	return cp
-}
-
-// PredictBatch serves many queries at once, answering exactly as if
-// Predict were called on each in order — same tier attribution, same
-// served-counter totals — but batching each tier's satisfied queries
-// through the model's vectorised fast path. Queries a tier demotes
-// (missing sensors, or a non-finite tier prediction) stay pending for
-// the next tier, mirroring the per-query demotion loop.
-func (c *FallbackChain) PredictBatch(qs []map[string]float64) []ChainPrediction {
-	return c.predictBatch(qs, false)
-}
-
-// PredictIntervalBatch serves many queries with P10/P90 bands attached.
-// Element i equals PredictInterval(qs[i]) exactly — same tier walk,
-// same floats, same served-counter totals.
-func (c *FallbackChain) PredictIntervalBatch(qs []map[string]float64) []ChainPrediction {
-	return c.predictBatch(qs, true)
-}
-
-func (c *FallbackChain) predictBatch(qs []map[string]float64, withIval bool) []ChainPrediction {
-	out := make([]ChainPrediction, len(qs))
-	pending := make([]int, len(qs))
-	for i := range pending {
-		pending[i] = i
-	}
-	firstMissing := make([][]string, len(qs))
+	var one [1]float64
 	for ti, p := range c.tiers {
 		if len(pending) == 0 {
 			break
 		}
-		var ready []int
-		var X [][]float64
+		plan := &c.plans[ti]
+		ready = ready[:0]
 		next := pending[:0]
 		for _, qi := range pending {
-			missing := features.MissingFeatures(qs[qi], p.names)
-			if ti == 0 {
-				firstMissing[qi] = missing
+			if qs[qi].Valid()&plan.need == plan.need {
+				ready = append(ready, qi)
+			} else {
+				next = append(next, qi)
 			}
-			if len(missing) > 0 {
+		}
+		if len(ready) == 0 {
+			pending = next
+			continue
+		}
+		width := len(plan.cols)
+		slab := make([]float64, len(ready)*width)
+		for k, qi := range ready {
+			row := slab[k*width : (k+1)*width]
+			q := &qs[qi]
+			for j, col := range plan.cols {
+				row[j] = q.Value(col)
+			}
+		}
+		preds := predictSlab(p, slab, width, len(ready), one[:])
+		source := p.group.String()
+		served := 0
+		for k, qi := range ready {
+			mbps := preds[k]
+			if math.IsNaN(mbps) || math.IsInf(mbps, 0) {
+				// A tier that produces garbage is treated like a missing
+				// sensor: demote rather than propagate.
 				next = append(next, qi)
 				continue
 			}
-			x := make([]float64, len(p.names))
-			for j, n := range p.names {
-				x[j] = qs[qi][n]
+			if mbps < 0 {
+				mbps = 0
 			}
-			ready = append(ready, qi)
-			X = append(X, x)
-		}
-		if len(ready) > 0 {
-			preds := ml.PredictAll(p.reg, X)
-			for k, qi := range ready {
-				mbps := preds[k]
-				if math.IsNaN(mbps) || math.IsInf(mbps, 0) {
-					next = append(next, qi)
-					continue
-				}
-				if mbps < 0 {
-					mbps = 0
-				}
-				c.served[ti].Add(1)
-				out[qi] = ChainPrediction{
-					Mbps:     mbps,
-					Class:    ClassOf(mbps),
-					Tier:     ti,
-					Source:   p.group.String(),
-					Degraded: ti > 0,
-					Missing:  missingIfDegraded(firstMissing[qi], ti > 0),
-				}
-				if withIval {
-					fillInterval(&out[qi], p.ival)
-				}
+			served++
+			cp := ChainPrediction{
+				Mbps:     mbps,
+				Class:    ClassOf(mbps),
+				Tier:     ti,
+				Source:   source,
+				Degraded: ti > 0,
 			}
+			if ti > 0 {
+				cp.Missing = c.missingFor(qs[qi].Valid())
+			}
+			if intervals {
+				fillInterval(&cp, p.ival)
+			}
+			out[qi] = cp
 		}
+		c.served[ti].Add(uint64(served))
 		pending = next
 	}
+	// Last resort: the query's own throughput history when usable,
+	// otherwise the training prior. Both are the HM estimator's domain.
+	last := len(c.tiers)
 	for _, qi := range pending {
-		q := qs[qi]
+		q := &qs[qi]
 		mbps := c.prior
-		if v, ok := usableFeature(q, "past_tput_hmean"); ok {
+		if v, ok := q.Usable(features.ColPastTputHmean); ok {
 			mbps = v
-		} else if v, ok := usableFeature(q, "past_tput_last"); ok {
+		} else if v, ok := q.Usable(features.ColPastTputLast); ok {
 			mbps = v
 		}
-		c.served[len(c.tiers)].Add(1)
-		out[qi] = ChainPrediction{
+		cp := ChainPrediction{
 			Mbps:     mbps,
 			Class:    ClassOf(mbps),
-			Tier:     len(c.tiers),
+			Tier:     last,
 			Source:   LastResortGroup,
-			Degraded: len(c.tiers) > 0,
-			Missing:  missingIfDegraded(firstMissing[qi], len(c.tiers) > 0),
+			Degraded: last > 0,
 		}
-		if withIval {
-			fillInterval(&out[qi], c.hmOff)
+		if last > 0 {
+			cp.Missing = c.missingFor(q.Valid())
 		}
+		if intervals {
+			fillInterval(&cp, c.hmOff)
+		}
+		out[qi] = cp
 	}
-	return out
+	c.served[last].Add(uint64(len(pending)))
 }
 
-// usableFeature returns q[name] when it is present and inside the
-// feature's valid range.
-func usableFeature(q map[string]float64, name string) (float64, bool) {
-	v, ok := q[name]
-	if !ok {
-		return 0, false
+// predictSlab runs n feature rows of one tier, packed width apart in
+// slab, through the tier's model: a single row through the model's
+// one-row path, more as one vectorised batch (element-for-element equal,
+// per the ml.BatchRegressor contract). one is the single-row result
+// buffer.
+func predictSlab(p *Predictor, slab []float64, width, n int, one []float64) []float64 {
+	if n == 1 {
+		one[0] = p.reg.Predict(slab)
+		return one
 	}
-	fr, known := features.ValidRange(name)
-	if !known || !fr.Contains(v) {
-		return 0, false
+	X := make([][]float64, n)
+	for k := range X {
+		X[k] = slab[k*width : (k+1)*width : (k+1)*width]
 	}
-	return v, true
+	return ml.PredictAll(p.reg, X)
 }
 
-func missingIfDegraded(missing []string, degraded bool) []string {
-	if !degraded {
-		return nil
+// missingFor returns the first tier's unusable feature names under a
+// query validity mask — nil when none is — interned per mask.
+func (c *FallbackChain) missingFor(valid features.Mask) []string {
+	plan := &c.plans[0]
+	key := valid & plan.need
+	m := c.missing.Load()
+	if m != nil {
+		if list, ok := (*m)[key]; ok {
+			return list
+		}
 	}
-	return append([]string(nil), missing...)
+	var list []string
+	for j, col := range plan.cols {
+		if key&col.Bit() == 0 {
+			list = append(list, c.tiers[0].names[j])
+		}
+	}
+	for {
+		n := 0
+		if m != nil {
+			n = len(*m)
+		}
+		if n >= maxInternedMasks {
+			return list
+		}
+		next := make(map[features.Mask][]string, n+1)
+		if m != nil {
+			for k, v := range *m {
+				next[k] = v
+			}
+		}
+		next[key] = list
+		if c.missing.CompareAndSwap(m, &next) {
+			return list
+		}
+		// Another row published first: share its list if it interned
+		// this mask, otherwise retry the copy.
+		m = c.missing.Load()
+		if interned, ok := (*m)[key]; ok {
+			return interned
+		}
+	}
 }
 
 // Tiers returns the chain's predictors in serving order.

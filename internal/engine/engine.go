@@ -15,10 +15,12 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"lumos5g"
+	"lumos5g/internal/features"
 	"lumos5g/internal/geo"
 )
 
@@ -37,7 +39,9 @@ type Prediction struct {
 	Tier int
 	// Degraded reports that the preferred tier did not serve.
 	Degraded bool
-	// Missing lists the unusable features that demoted the query.
+	// Missing lists the unusable features that demoted the query. The
+	// slice may be shared across predictions and rows: it must not be
+	// modified.
 	Missing []string
 	// P10 and P90 bound the nominal 80% prediction band around Mbps
 	// (the p50). Filled only by PredictInterval/PredictIntervalBatch;
@@ -119,37 +123,22 @@ func MapMean(tm *lumos5g.ThroughputMap) float64 {
 	return sum / float64(n)
 }
 
-// valsPool recycles the per-query feature maps. The fallback chain
-// copies what it needs into its own feature vector and never retains the
-// query map, so the map can go straight back to the pool after Predict
-// returns — the serving path makes no per-request feature-vector garbage.
-var valsPool = sync.Pool{
-	New: func() any { return make(map[string]float64, 4) },
-}
-
-// queryVals assembles the fallback-chain query from one prediction
-// request. Optional parameters that are absent are simply omitted — the
-// chain demotes the query to a tier that does not need them. The map
-// comes from valsPool; release it with putVals once the chain answered.
-func queryVals(px geo.Pixel, speed, bearing *float64) map[string]float64 {
-	vals := valsPool.Get().(map[string]float64)
-	vals["pixel_x"] = float64(px.X)
-	vals["pixel_y"] = float64(px.Y)
+// queryOf assembles the fallback-chain query from one prediction
+// request. Optional parameters that are absent stay unset — the chain
+// demotes the query to a tier that does not need them.
+func queryOf(px geo.Pixel, speed, bearing *float64) features.Query {
+	var q features.Query
+	q.Set(features.ColPixelX, float64(px.X))
+	q.Set(features.ColPixelY, float64(px.Y))
 	if speed != nil {
-		vals["moving_speed"] = *speed
+		q.Set(features.ColMovingSpeed, *speed)
 	}
 	if bearing != nil {
 		rad := math.Pi / 180
-		vals["compass_sin"] = math.Sin(*bearing * rad)
-		vals["compass_cos"] = math.Cos(*bearing * rad)
+		q.Set(features.ColCompassSin, math.Sin(*bearing*rad))
+		q.Set(features.ColCompassCos, math.Cos(*bearing*rad))
 	}
-	return vals
-}
-
-// putVals returns a query map to the pool.
-func putVals(vals map[string]float64) {
-	clear(vals)
-	valsPool.Put(vals)
+	return q
 }
 
 // MapOnly answers a prediction from the throughput map alone —
@@ -202,12 +191,17 @@ func (e *Engine) Predict(px geo.Pixel, speed, bearing *float64) Prediction {
 	if e.chain == nil {
 		return e.MapOnly(px)
 	}
-	vals := queryVals(px, speed, bearing)
-	start := time.Now()
-	p := e.chain.Predict(vals)
-	walk := time.Since(start)
-	putVals(vals)
+	p, walk := e.walkOne(px, speed, bearing, false)
 	return fromChain(p, walk)
+}
+
+// walkOne runs one query through the chain and times the walk.
+func (e *Engine) walkOne(px geo.Pixel, speed, bearing *float64, withIval bool) (lumos5g.ChainPrediction, time.Duration) {
+	qs := [1]features.Query{queryOf(px, speed, bearing)}
+	var out [1]lumos5g.ChainPrediction
+	start := time.Now()
+	e.chain.PredictQueries(qs[:], out[:], withIval)
+	return out[0], time.Since(start)
 }
 
 // PredictInterval answers one query like Predict and carries the
@@ -217,11 +211,7 @@ func (e *Engine) PredictInterval(px geo.Pixel, speed, bearing *float64) Predicti
 	if e.chain == nil {
 		return withDegenerateBand(e.MapOnly(px))
 	}
-	vals := queryVals(px, speed, bearing)
-	start := time.Now()
-	p := e.chain.PredictInterval(vals)
-	walk := time.Since(start)
-	putVals(vals)
+	p, walk := e.walkOne(px, speed, bearing, true)
 	return fromChainInterval(p, walk)
 }
 
@@ -249,7 +239,9 @@ func (e *Engine) predictBatch(pxs []geo.Pixel, speeds, bearings []*float64, with
 		}
 		return out
 	}
-	vals := make([]map[string]float64, len(pxs))
+	sc := batchPool.Get().(*batchScratch)
+	qs := slices.Grow(sc.qs[:0], len(pxs))[:len(pxs)]
+	cps := slices.Grow(sc.cps[:0], len(pxs))[:len(pxs)]
 	for i, px := range pxs {
 		var sp, br *float64
 		if speeds != nil {
@@ -258,19 +250,27 @@ func (e *Engine) predictBatch(pxs []geo.Pixel, speeds, bearings []*float64, with
 		if bearings != nil {
 			br = bearings[i]
 		}
-		vals[i] = queryVals(px, sp, br)
+		qs[i] = queryOf(px, sp, br)
 	}
-	if withIval {
-		for i, p := range e.chain.PredictIntervalBatch(vals) {
-			out[i] = fromChainInterval(p, 0)
+	e.chain.PredictQueries(qs, cps, withIval)
+	for i := range cps {
+		if withIval {
+			out[i] = fromChainInterval(cps[i], 0)
+		} else {
+			out[i] = fromChain(cps[i], 0)
 		}
-	} else {
-		for i, p := range e.chain.PredictBatch(vals) {
-			out[i] = fromChain(p, 0)
-		}
 	}
-	for _, v := range vals {
-		putVals(v)
-	}
+	sc.qs, sc.cps = qs, cps
+	batchPool.Put(sc)
 	return out
 }
+
+// batchScratch is one batch's typed queries and chain answers, recycled
+// across batches: the engine copies every answer out before returning,
+// so neither slice outlives the call.
+type batchScratch struct {
+	qs  []features.Query
+	cps []lumos5g.ChainPrediction
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}

@@ -16,6 +16,9 @@ var (
 	fixTM    *lumos5g.ThroughputMap
 	fixChain *lumos5g.FallbackChain
 	fixPx    geo.Pixel
+	// fixTiered is an L+M → L chain, so sensorless queries are served
+	// degraded by a model tier rather than the last resort.
+	fixTiered *lumos5g.FallbackChain
 )
 
 func fixture(t *testing.T) (*lumos5g.ThroughputMap, *lumos5g.FallbackChain, geo.Pixel) {
@@ -33,6 +36,14 @@ func fixture(t *testing.T) (*lumos5g.ThroughputMap, *lumos5g.FallbackChain, geo.
 			panic(err)
 		}
 		fixChain, err = lumos5g.ChainFromPredictor(pred, engine.MapMean(fixTM))
+		if err != nil {
+			panic(err)
+		}
+		predL, err := lumos5g.Train(clean, lumos5g.GroupL, lumos5g.ModelGDBT, lumos5g.Scale{Seed: 1})
+		if err != nil {
+			panic(err)
+		}
+		fixTiered, err = lumos5g.NewFallbackChain(engine.MapMean(fixTM), pred, predL)
 		if err != nil {
 			panic(err)
 		}
@@ -189,5 +200,41 @@ func TestQuantizeTotality(t *testing.T) {
 		if k.BearingB < 0 || k.BearingB >= engine.BearingSectors {
 			t.Fatalf("bearing %v: sector %d out of range", deg, k.BearingB)
 		}
+	}
+}
+
+// TestPredictIntervalBatchAllocsFlat: a batch's allocations are per
+// batch, not per row — typed rows, one feature slab per tier, Missing
+// lists interned per validity mask — so 256 degraded rows allocate no
+// more than 16 do.
+func TestPredictIntervalBatchAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool randomly drops Puts, so pool misses refill scratch via New")
+	}
+	tm, _, px := fixture(t)
+	e, err := engine.New(tm, fixTiered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speed := 4.0
+	allocs := func(n int) float64 {
+		pxs := make([]geo.Pixel, n)
+		speeds := make([]*float64, n)
+		for i := range pxs {
+			pxs[i] = geo.Pixel{X: px.X + i%17, Y: px.Y + i%5, Zoom: px.Zoom}
+			if i%2 == 0 {
+				speeds[i] = &speed // no bearing: still below L+M
+			}
+		}
+		for _, p := range e.PredictIntervalBatch(pxs, speeds, nil) {
+			if !p.Degraded || p.Tier != 1 || len(p.Missing) == 0 {
+				t.Fatalf("row not served degraded by the L tier: %+v", p)
+			}
+		}
+		return testing.AllocsPerRun(50, func() { e.PredictIntervalBatch(pxs, speeds, nil) })
+	}
+	big := allocs(256)
+	if small := allocs(16); big > small {
+		t.Fatalf("PredictIntervalBatch allocates %v times for 256 degraded rows, %v for 16", big, small)
 	}
 }

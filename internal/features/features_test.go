@@ -253,3 +253,46 @@ func TestSequenceSplitAndSubsample(t *testing.T) {
 		t.Fatal("oversized subsample should return everything")
 	}
 }
+
+// TestServingSchemaCoversEveryGroup: every column Build can produce is
+// a serving-schema column, so no trained tier is left unservable, and
+// Query.Set marks a value usable exactly when ValidRange contains it.
+func TestServingSchemaCoversEveryGroup(t *testing.T) {
+	seen := map[Col]string{}
+	for g := GroupL; g <= GroupTMC; g++ {
+		for _, name := range GroupNames(g) {
+			c, ok := ColumnOf(name)
+			if !ok {
+				t.Fatalf("group %s column %q is outside the serving schema", g, name)
+			}
+			if prev, dup := seen[c]; dup && prev != name {
+				t.Fatalf("columns %q and %q share schema slot %d", prev, name, c)
+			}
+			seen[c] = name
+		}
+	}
+	if len(seen) != int(NumCols) {
+		t.Fatalf("groups use %d of %d schema columns", len(seen), NumCols)
+	}
+	for c, name := range seen {
+		fr, _ := ValidRange(name)
+		for _, v := range []float64{fr.Lo, fr.Hi, (fr.Lo + fr.Hi) / 2, fr.Lo - 1, fr.Hi + 1,
+			math.NaN(), math.Inf(1), math.Inf(-1)} {
+			var q Query
+			q.Set(c, v)
+			got, ok := q.Usable(c)
+			if ok != fr.Contains(v) || (q.Valid() != 0) != ok {
+				t.Fatalf("%s = %v: usable %v, range says %v", name, v, ok, fr.Contains(v))
+			}
+			if math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("%s: stored %v, set %v", name, got, v)
+			}
+			if q.Set(c, (fr.Lo+fr.Hi)/2); q.Valid() != c.Bit() {
+				t.Fatalf("%s: re-setting a usable value left mask %b", name, q.Valid())
+			}
+		}
+	}
+	if q := QueryOf(map[string]float64{"pixel_x": 5, "bogus": 1, "moving_speed": -1}); q.Valid() != ColPixelX.Bit() {
+		t.Fatalf("QueryOf mask %b, want only pixel_x", q.Valid())
+	}
+}

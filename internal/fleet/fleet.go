@@ -16,8 +16,6 @@
 package fleet
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"sort"
 	"sync/atomic"
 
@@ -111,17 +109,27 @@ func RouteKey(lat, lon float64, speed, bearing *float64) engine.Key {
 }
 
 // cellScore is the rendezvous (highest-random-weight) score of one
-// shard for one map cell. FNV-1a over the shard ID and the cell
-// coordinates: deterministic across processes, no coordination, and
-// removing a shard only remaps the cells that shard owned.
+// shard for one map cell. FNV-1a (64-bit) over the shard ID and the
+// little-endian cell coordinates: deterministic across processes, no
+// coordination, and removing a shard only remaps the cells that shard
+// owned. Computed inline, so scoring allocates nothing.
 func cellScore(shardID string, col, row int32) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(shardID))
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[0:4], uint32(col))
-	binary.LittleEndian.PutUint32(b[4:8], uint32(row))
-	_, _ = h.Write(b[:])
-	return h.Sum64()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(shardID); i++ {
+		h ^= uint64(shardID[i])
+		h *= prime64
+	}
+	for _, v := range [2]uint32{uint32(col), uint32(row)} {
+		for k := 0; k < 4; k++ {
+			h ^= uint64(byte(v >> (8 * k)))
+			h *= prime64
+		}
+	}
+	return h
 }
 
 // OwnerID returns the shard ID owning cell (col, row) among ids —
@@ -145,29 +153,35 @@ func OwnerID(ids []string, col, row int32) string {
 func (t *Topology) RankShards(k engine.Key) []*Shard {
 	ranked := make([]*Shard, len(t.Shards))
 	copy(ranked, t.Shards)
-	score := func(s *Shard) uint64 { return cellScore(s.ID, k.Col, k.Row) }
 	sort.SliceStable(ranked, func(i, j int) bool {
-		di, dj := ranked[i].Draining(), ranked[j].Draining()
-		if di != dj {
-			return !di
-		}
-		si, sj := score(ranked[i]), score(ranked[j])
-		if si != sj {
-			return si > sj
-		}
-		return ranked[i].ID < ranked[j].ID
+		return ranksBefore(ranked[i], ranked[j], k)
 	})
 	return ranked
 }
 
-// Owner returns the live shard owning key k (nil only for an empty
-// topology).
-func (t *Topology) Owner(k engine.Key) *Shard {
-	ranked := t.RankShards(k)
-	if len(ranked) == 0 {
-		return nil
+// ranksBefore is RankShards' strict order: live before draining, then
+// rendezvous score descending, then ID.
+func ranksBefore(a, b *Shard, k engine.Key) bool {
+	if da, db := a.Draining(), b.Draining(); da != db {
+		return !da
 	}
-	return ranked[0]
+	sa, sb := cellScore(a.ID, k.Col, k.Row), cellScore(b.ID, k.Col, k.Row)
+	if sa != sb {
+		return sa > sb
+	}
+	return a.ID < b.ID
+}
+
+// Owner returns the shard owning key k — exactly RankShards(k)[0] — in
+// one pass without allocating (nil only for an empty topology).
+func (t *Topology) Owner(k engine.Key) *Shard {
+	var best *Shard
+	for _, s := range t.Shards {
+		if best == nil || ranksBefore(s, best, k) {
+			best = s
+		}
+	}
+	return best
 }
 
 // candidates orders one shard's replicas by attractiveness: state

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +89,45 @@ func TestRankShardsDrainingLast(t *testing.T) {
 	k2 := engine.Key{Col: 7, Row: 11, SpeedB: 30, BearingB: 4}
 	if topo.Owner(k2) != topo.Owner(k) {
 		t.Fatal("sensor buckets changed the owning shard")
+	}
+}
+
+// TestOwnerIsRankHead pins the one-pass Owner to RankShards' head over
+// random cells, 1–5 shards and random draining sets, checks it does not
+// allocate, and pins the inline FNV-1a score to hash/fnv.
+func TestOwnerIsRankHead(t *testing.T) {
+	src := rand.New(rand.NewSource(13))
+	for shards := 1; shards <= 5; shards++ {
+		topo := mkTopo(shards, 1)
+		for trial := 0; trial < 400; trial++ {
+			for _, sh := range topo.Shards {
+				sh.SetDraining(src.Intn(3) == 0)
+			}
+			k := engine.Key{Col: src.Int31() - 1<<30, Row: src.Int31() - 1<<30, SpeedB: -1, BearingB: -1}
+			if got, want := topo.Owner(k), topo.RankShards(k)[0]; got != want {
+				t.Fatalf("%d shards, key %+v: Owner %s, RankShards head %s", shards, k, got.ID, want.ID)
+			}
+		}
+		k := engine.Key{Col: 3, Row: -9}
+		if n := testing.AllocsPerRun(100, func() { topo.Owner(k) }); n != 0 {
+			t.Fatalf("Owner allocates %v times per call", n)
+		}
+	}
+	if (&Topology{}).Owner(engine.Key{}) != nil {
+		t.Fatal("empty topology has an owner")
+	}
+	for trial := 0; trial < 1000; trial++ {
+		id := fmt.Sprintf("s%d", src.Intn(1000))
+		col, row := src.Int31()-1<<30, src.Int31()-1<<30
+		h := fnv.New64a()
+		h.Write([]byte(id))
+		var b [8]byte
+		binary.LittleEndian.PutUint32(b[0:4], uint32(col))
+		binary.LittleEndian.PutUint32(b[4:8], uint32(row))
+		h.Write(b[:])
+		if got, want := cellScore(id, col, row), h.Sum64(); got != want {
+			t.Fatalf("cellScore(%s, %d, %d) = %x, FNV-1a says %x", id, col, row, got, want)
+		}
 	}
 }
 

@@ -190,14 +190,25 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		byShard[sh] = append(byShard[sh], i)
 	}
 
-	rows := make([]BatchRow, len(queries))
-	var mu sync.Mutex // guards partial; rows are index-disjoint per shard
-	partial := false
-	var wg sync.WaitGroup
+	// Each shard's goroutine merges its served rows straight into
+	// results and records a failure on its own part; BatchRow exists only
+	// for the JSON / partial envelope below.
+	type shardPart struct {
+		sh      *Shard
+		idxs    []int
+		failure string // non-empty when the shard could not answer
+	}
+	parts := make([]shardPart, 0, len(byShard))
 	for sh, idxs := range byShard {
+		parts = append(parts, shardPart{sh: sh, idxs: idxs})
+	}
+	results := make([]wire.Result, len(queries))
+	var wg sync.WaitGroup
+	for k := range parts {
 		wg.Add(1)
-		go func(sh *Shard, idxs []int) {
+		go func(part *shardPart) {
 			defer wg.Done()
+			sh, idxs := part.sh, part.idxs
 			sub := make([]wire.Query, len(idxs))
 			for j, i := range idxs {
 				sub[j] = queries[i]
@@ -217,65 +228,34 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			if !ok {
-				reason := shardFailureReason(sh, res)
-				for _, i := range idxs {
-					rows[i] = BatchRow{
-						Tier:     -1,
-						Degraded: true,
-						Missing:  []string{"shard:" + sh.ID},
-						Shard:    sh.ID,
-						Error:    reason,
-					}
-					rt.m.batchRows.With("failed").Inc()
-				}
-				mu.Lock()
-				partial = true
-				mu.Unlock()
+				part.failure = shardFailureReason(sh, res)
+				rt.m.batchRows.With("failed").Add(uint64(len(idxs)))
 				return
 			}
 			for j, i := range idxs {
-				sr := served[j]
-				mbps := sr.Mbps
-				rows[i] = BatchRow{
-					Mbps: &mbps, Class: sr.Class, Source: sr.Source,
-					Tier: sr.Tier, Degraded: sr.Degraded, Missing: sr.Missing,
-					Shard: sh.ID,
-				}
-				if wantIval {
-					p10, p50, p90, cal := sr.P10, sr.Mbps, sr.P90, sr.HasInterval
-					rows[i].P10, rows[i].P50, rows[i].P90 = &p10, &p50, &p90
-					rows[i].Calibrated = &cal
-				}
-				rt.m.batchRows.With("served").Inc()
+				results[i] = served[j]
 			}
-		}(sh, idxs)
+			rt.m.batchRows.With("served").Add(uint64(len(idxs)))
+		}(&parts[k])
 	}
 	wg.Wait()
 
+	partial := false
+	for _, part := range parts {
+		partial = partial || part.failure != ""
+	}
 	if partial {
 		rt.m.partials.Inc()
 	}
 	if !partial && (accept == wire.ContentType || accept == wire.ContentTypeIntervals) {
-		rs := make([]wire.Result, len(rows))
-		for i := range rows {
-			br := &rows[i]
-			rs[i] = wire.Result{
-				Mbps: *br.Mbps, Class: br.Class, Source: br.Source,
-				Tier: br.Tier, Degraded: br.Degraded, Missing: br.Missing,
-			}
-			if br.P10 != nil && br.P90 != nil {
-				rs[i].P10, rs[i].P90 = *br.P10, *br.P90
-				rs[i].HasInterval = br.Calibrated != nil && *br.Calibrated
-			}
-		}
 		var frame []byte
 		var err error
 		ct := wire.ContentType
 		if accept == wire.ContentTypeIntervals {
-			frame, err = wire.AppendResultsIntervals(nil, rs)
+			frame, err = wire.AppendResultsIntervals(nil, results)
 			ct = wire.ContentTypeIntervals
 		} else {
-			frame, err = wire.AppendResults(nil, rs)
+			frame, err = wire.AppendResults(nil, results)
 		}
 		if err == nil {
 			w.Header().Set("Content-Type", ct)
@@ -285,6 +265,34 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		// An unencodable merge (string-table overflow) falls back to
 		// the JSON envelope rather than failing the whole batch.
+	}
+	rows := make([]BatchRow, len(queries))
+	for _, part := range parts {
+		if part.failure != "" {
+			missing := []string{"shard:" + part.sh.ID}
+			for _, i := range part.idxs {
+				rows[i] = BatchRow{
+					Tier:     -1,
+					Degraded: true,
+					Missing:  missing,
+					Shard:    part.sh.ID,
+					Error:    part.failure,
+				}
+			}
+			continue
+		}
+		for _, i := range part.idxs {
+			sr := &results[i]
+			rows[i] = BatchRow{
+				Mbps: &sr.Mbps, Class: sr.Class, Source: sr.Source,
+				Tier: sr.Tier, Degraded: sr.Degraded, Missing: sr.Missing,
+				Shard: part.sh.ID,
+			}
+			if wantIval {
+				rows[i].P10, rows[i].P50, rows[i].P90 = &sr.P10, &sr.Mbps, &sr.P90
+				rows[i].Calibrated = &sr.HasInterval
+			}
+		}
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Partial: partial, Rows: rows})
 }

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lumos5g"
@@ -116,29 +115,52 @@ type supShard struct {
 // supReplica supervises one replica process-alike: an http.Server over
 // a real TCP listener, restarted with jittered capped backoff when it
 // dies, always on the same pinned port the topology advertises.
+//
+// mu makes the supervisor's check-and-publish one critical section
+// against the lifecycle calls: the supervisor binds and publishes a
+// server only while holding mu and only if the replica is neither
+// disabled nor shutting down, and DisableReplica, DrainShard and
+// Shutdown flip that state and read the published server under the same
+// lock. So no lifecycle call can land between the check and the publish
+// and find no server to close while one is about to serve.
 type supReplica struct {
 	rep  *Replica
 	ms   *mapserver.Server
 	addr string // pinned after the first bind
 
-	disabled atomic.Bool
-
-	mu  sync.Mutex
-	srv *http.Server
+	mu       sync.Mutex
+	disabled bool
+	srv      *http.Server // published server; nil while not serving
+	// edge is closed and replaced on every change of srv or disabled,
+	// so waiters block on the event instead of polling.
+	edge chan struct{}
 
 	jmu sync.Mutex
 	src *rng.Source
 }
 
-func (r *supReplica) setSrv(s *http.Server) {
-	r.mu.Lock()
-	r.srv = s
-	r.mu.Unlock()
+// signal wakes everyone waiting on the current edge. Callers hold mu.
+func (r *supReplica) signal() {
+	close(r.edge)
+	r.edge = make(chan struct{})
 }
 
 func (r *supReplica) curSrv() *http.Server {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.srv
+}
+
+// disable marks the replica disabled and returns the server it was
+// serving, if any, in one critical section: once it returns, the
+// supervisor publishes nothing new until EnableReplica.
+func (r *supReplica) disable() *http.Server {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.disabled {
+		r.disabled = true
+		r.signal()
+	}
 	return r.srv
 }
 
@@ -199,6 +221,7 @@ func StartFleet(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, cfg Fle
 				rep:  rep,
 				ms:   ms,
 				addr: ln.Addr().String(),
+				edge: make(chan struct{}),
 				src:  src.SplitLabeled(rep.ID),
 			}
 			sh.Replicas = append(sh.Replicas, rep)
@@ -217,23 +240,32 @@ func StartFleet(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, cfg Fle
 // supervise is one replica's lifecycle loop: serve until the server
 // dies, then restart on the pinned port behind jittered capped backoff.
 // A replica that served for a while restarts fast (the backoff resets);
-// one that is crash-looping backs off to RestartMax.
+// one that is crash-looping backs off to RestartMax. A disabled replica
+// waits for EnableReplica without holding its port.
 func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 	defer f.wg.Done()
+	defer func() {
+		if ln != nil {
+			_ = ln.Close()
+		}
+	}()
 	delay := f.cfg.RestartBase
 	for {
+		r.mu.Lock()
 		if f.ctx.Err() != nil {
-			if ln != nil {
-				_ = ln.Close()
-			}
+			r.mu.Unlock()
 			return
 		}
-		if r.disabled.Load() {
+		if r.disabled {
 			if ln != nil {
 				_ = ln.Close()
 				ln = nil
 			}
-			if !sleepCtx(f.ctx, 10*time.Millisecond) {
+			edge := r.edge
+			r.mu.Unlock()
+			select {
+			case <-edge:
+			case <-f.ctx.Done():
 				return
 			}
 			continue
@@ -242,6 +274,7 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 			var err error
 			ln, err = net.Listen("tcp", r.addr)
 			if err != nil {
+				r.mu.Unlock()
 				// The pinned port is briefly unavailable (a dying server's
 				// listener not fully gone): back off and retry.
 				if !sleepCtx(f.ctx, r.jitter(delay)) {
@@ -254,11 +287,19 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 			}
 		}
 		srv := &http.Server{Handler: r.ms}
-		r.setSrv(srv)
+		r.srv = srv
+		r.signal()
+		r.mu.Unlock()
+
 		started := time.Now()
+		// Serve closes ln when it returns, including when a lifecycle
+		// call closed srv before Serve started.
 		_ = srv.Serve(ln) // blocks until Close/Shutdown or a fatal error
-		r.setSrv(nil)
 		ln = nil
+		r.mu.Lock()
+		r.srv = nil
+		r.signal()
+		r.mu.Unlock()
 		if f.ctx.Err() != nil {
 			return
 		}
@@ -313,8 +354,7 @@ func (f *Fleet) DisableReplica(replicaID string) bool {
 	if sr == nil {
 		return false
 	}
-	sr.disabled.Store(true)
-	if srv := sr.curSrv(); srv != nil {
+	if srv := sr.disable(); srv != nil {
 		_ = srv.Close()
 	}
 	return true
@@ -326,7 +366,12 @@ func (f *Fleet) EnableReplica(replicaID string) bool {
 	if sr == nil {
 		return false
 	}
-	sr.disabled.Store(false)
+	sr.mu.Lock()
+	if sr.disabled {
+		sr.disabled = false
+		sr.signal()
+	}
+	sr.mu.Unlock()
 	return true
 }
 
@@ -356,8 +401,7 @@ func (f *Fleet) DrainShard(ctx context.Context, shardID string) bool {
 			continue
 		}
 		for _, sr := range ss.reps {
-			sr.disabled.Store(true)
-			if srv := sr.curSrv(); srv != nil {
+			if srv := sr.disable(); srv != nil {
 				wg.Add(1)
 				go func(srv *http.Server) {
 					defer wg.Done()
@@ -379,6 +423,9 @@ func (f *Fleet) Shutdown(ctx context.Context) {
 		stop()
 	}
 	f.ingStops = nil
+	// Cancel before reading the servers: a supervisor checks the context
+	// under the same lock it publishes under, so every server is either
+	// read below or never published.
 	f.cancel()
 	var wg sync.WaitGroup
 	for _, ss := range f.shards {

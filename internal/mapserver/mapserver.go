@@ -725,9 +725,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 			return
 		}
 	}
-	for i := range preds {
-		s.m.tierServed.With("/predict/batch", preds[i].Source).Inc()
-	}
+	s.countServed(preds)
 	if binary {
 		rs := make([]wire.Result, len(preds))
 		for i := range preds {
@@ -785,6 +783,31 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 	writeJSONBytes(w, http.StatusOK, b)
 	*bufp = b[:0]
 	batchBufPool.Put(bufp)
+}
+
+// countServed adds one batch to the per-tier served counters: one
+// counter lookup and one Add per distinct source, not per row.
+func (s *Server) countServed(preds []engine.Prediction) {
+	type tally struct {
+		source string
+		n      uint64
+	}
+	var buf [8]tally
+	seen := buf[:0]
+next:
+	for i := range preds {
+		src := preds[i].Source
+		for k := range seen {
+			if seen[k].source == src {
+				seen[k].n++
+				continue next
+			}
+		}
+		seen = append(seen, tally{source: src, n: 1})
+	}
+	for _, t := range seen {
+		s.m.tierServed.With("/predict/batch", t.source).Add(t.n)
+	}
 }
 
 // wireCT / wireIvalCT are the shared Content-Type header values of

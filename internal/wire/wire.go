@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ContentType is the negotiated media type of both frame directions: a
@@ -90,7 +91,10 @@ type Result struct {
 	Source   string
 	Tier     int
 	Degraded bool
-	Missing  []string
+	// Missing lists the unusable features that demoted the row. The
+	// slice may be shared across rows (decoded rows with the same list
+	// share one): it must not be modified.
+	Missing []string
 	// P10 and P90 bound the nominal 80% band around Mbps (the p50).
 	P10, P90 float64
 	// HasInterval distinguishes a calibrated band from the degenerate
@@ -179,38 +183,54 @@ func DecodeQueries(b []byte, maxQueries int) ([]Query, error) {
 		qs[i].Lon = readF64(b[8*i:])
 	}
 	b = b[8*n:]
-	readOptional := func(b []byte, set func(int, float64)) ([]byte, error) {
-		bl := bitmapLen(n)
-		if len(b) < bl {
-			return nil, errTruncated
-		}
-		bm := b[:bl]
-		b = b[bl:]
-		for i := 0; i < n; i++ {
-			if bm[i/8]&(1<<(i%8)) == 0 {
-				continue
-			}
-			if len(b) < 8 {
-				return nil, errTruncated
-			}
-			set(i, readF64(b))
-			b = b[8:]
-		}
-		return b, nil
-	}
 	var err error
-	b, err = readOptional(b, func(i int, v float64) { qs[i].Speed = &v })
-	if err != nil {
+	if b, err = readOptional(b, n, qs, func(q *Query, v *float64) { q.Speed = v }); err != nil {
 		return nil, err
 	}
-	b, err = readOptional(b, func(i int, v float64) { qs[i].Bearing = &v })
-	if err != nil {
+	if b, err = readOptional(b, n, qs, func(q *Query, v *float64) { q.Bearing = v }); err != nil {
 		return nil, err
 	}
 	if len(b) != 0 {
 		return nil, errors.New("wire: trailing bytes after request frame")
 	}
 	return qs, nil
+}
+
+// readOptional decodes one optional column (presence bitmap, then the
+// present values packed in row order) into qs through set, and returns
+// the rest of the frame. The present values share one slab. Bitmap bits
+// past row n are padding and are ignored.
+func readOptional(b []byte, n int, qs []Query, set func(*Query, *float64)) ([]byte, error) {
+	bl := bitmapLen(n)
+	if len(b) < bl {
+		return nil, errTruncated
+	}
+	bm := b[:bl]
+	b = b[bl:]
+	present := 0
+	for i, m := range bm {
+		if i == bl-1 && n%8 != 0 {
+			m &= 1<<(n%8) - 1
+		}
+		present += bits.OnesCount8(m)
+	}
+	if len(b) < 8*present {
+		return nil, errTruncated
+	}
+	if present == 0 {
+		return b, nil
+	}
+	slab := make([]float64, present)
+	k := 0
+	for i := 0; i < n; i++ {
+		if bm[i/8]&(1<<(i%8)) == 0 {
+			continue
+		}
+		slab[k] = readF64(b[8*k:])
+		set(&qs[i], &slab[k])
+		k++
+	}
+	return b[8*present:], nil
 }
 
 // maxTableStrings and maxStringLen are the string-table bounds (both
@@ -224,11 +244,11 @@ const (
 
 // stringTable interns strings in first-use order for one encode pass.
 type stringTable struct {
-	idx   map[string]int
+	idx   map[string]byte
 	order []string
 }
 
-func (t *stringTable) intern(s string) (int, error) {
+func (t *stringTable) intern(s string) (byte, error) {
 	if i, ok := t.idx[s]; ok {
 		return i, nil
 	}
@@ -239,9 +259,9 @@ func (t *stringTable) intern(s string) (int, error) {
 		return 0, fmt.Errorf("wire: string %q exceeds %d bytes", s, maxStringLen)
 	}
 	if t.idx == nil {
-		t.idx = make(map[string]int, 8)
+		t.idx = make(map[string]byte, 8)
 	}
-	i := len(t.order)
+	i := byte(len(t.order))
 	t.idx[s] = i
 	t.order = append(t.order, s)
 	return i, nil
@@ -266,9 +286,17 @@ func AppendResultsIntervals(dst []byte, rs []Result) ([]byte, error) {
 func appendResults(dst []byte, rs []Result, version byte) ([]byte, error) {
 	n := len(rs)
 	var tab stringTable
-	classIdx := make([]int, n)
-	srcIdx := make([]int, n)
-	missIdx := make([][]int, n)
+	classIdx := make([]byte, n)
+	srcIdx := make([]byte, n)
+	// Missing lists are interned per distinct slice (by backing array
+	// and length): each is resolved against the string table once, into
+	// a run of wire bytes — count, then table indices — in runs, and
+	// every row carrying that slice points at its run. runs[0] is the
+	// shared empty run, so a row without missing features points at 0.
+	runs := []byte{0}
+	var recent [8]missingRun
+	nrecent := 0
+	rowRun := make([]int32, n)
 	for i := range rs {
 		var err error
 		if classIdx[i], err = tab.intern(rs[i].Class); err != nil {
@@ -277,16 +305,31 @@ func appendResults(dst []byte, rs []Result, version byte) ([]byte, error) {
 		if srcIdx[i], err = tab.intern(rs[i].Source); err != nil {
 			return nil, err
 		}
-		if len(rs[i].Missing) > maxStringLen {
-			return nil, fmt.Errorf("wire: %d missing features in one row", len(rs[i].Missing))
+		miss := rs[i].Missing
+		if len(miss) > maxStringLen {
+			return nil, fmt.Errorf("wire: %d missing features in one row", len(miss))
 		}
-		if len(rs[i].Missing) > 0 {
-			missIdx[i] = make([]int, len(rs[i].Missing))
-			for j, m := range rs[i].Missing {
-				if missIdx[i][j], err = tab.intern(m); err != nil {
-					return nil, err
+		if len(miss) > 0 {
+			key := missingRun{data: &miss[0], n: len(miss)}
+			off, ok := key.find(recent[:min(nrecent, len(recent))])
+			if !ok {
+				// A slice not among the recent ones is resolved afresh;
+				// its run bytes depend only on its names, so re-resolving
+				// an evicted slice writes the same bytes.
+				off = int32(len(runs))
+				runs = append(runs, byte(len(miss)))
+				for _, m := range miss {
+					idx, err := tab.intern(m)
+					if err != nil {
+						return nil, err
+					}
+					runs = append(runs, idx)
 				}
+				key.off = off
+				recent[nrecent%len(recent)] = key
+				nrecent++
 			}
+			rowRun[i] = off
 		}
 		if rs[i].Tier < math.MinInt16 || rs[i].Tier > math.MaxInt16 {
 			return nil, fmt.Errorf("wire: tier %d out of int16 range", rs[i].Tier)
@@ -307,12 +350,8 @@ func appendResults(dst []byte, rs []Result, version byte) ([]byte, error) {
 		t := uint16(int16(rs[i].Tier))
 		dst = append(dst, byte(t), byte(t>>8))
 	}
-	for i := range rs {
-		dst = append(dst, byte(classIdx[i]))
-	}
-	for i := range rs {
-		dst = append(dst, byte(srcIdx[i]))
-	}
+	dst = append(dst, classIdx...)
+	dst = append(dst, srcIdx...)
 	off := len(dst)
 	dst = append(dst, make([]byte, bitmapLen(n))...)
 	for i := range rs {
@@ -320,11 +359,8 @@ func appendResults(dst []byte, rs []Result, version byte) ([]byte, error) {
 			dst[off+i/8] |= 1 << (i % 8)
 		}
 	}
-	for i := range rs {
-		dst = append(dst, byte(len(missIdx[i])))
-		for _, m := range missIdx[i] {
-			dst = append(dst, byte(m))
-		}
+	for _, off := range rowRun {
+		dst = append(dst, runs[off:off+1+int32(runs[off])]...)
 	}
 	if version >= VersionIntervals {
 		for i := range rs {
@@ -342,6 +378,24 @@ func appendResults(dst []byte, rs []Result, version byte) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// missingRun is one distinct Missing slice of an encode pass and the
+// offset of its wire bytes in the pass's run buffer.
+type missingRun struct {
+	data *string
+	n    int
+	off  int32
+}
+
+// find looks the slice up among recently interned ones.
+func (k missingRun) find(recent []missingRun) (int32, bool) {
+	for _, r := range recent {
+		if r.data == k.data && r.n == k.n {
+			return r.off, true
+		}
+	}
+	return 0, false
 }
 
 // DecodeResults parses a binary response frame, accepting both the
@@ -417,24 +471,36 @@ func DecodeResults(b []byte, maxResults int) ([]Result, error) {
 	for i := 0; i < n; i++ {
 		rs[i].Degraded = bm[i/8]&(1<<(i%8)) != 0
 	}
+	// Rows whose missing-feature runs are byte-identical share one
+	// decoded slice.
+	var runs map[string][]string
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {
 			return nil, errTruncated
 		}
 		cnt := int(b[0])
-		b = b[1:]
-		if len(b) < cnt {
+		if len(b) < 1+cnt {
 			return nil, errTruncated
 		}
-		if cnt > 0 {
-			rs[i].Missing = make([]string, cnt)
-			for j := 0; j < cnt; j++ {
-				if rs[i].Missing[j], err = lookup(b[j]); err != nil {
+		run := b[1 : 1+cnt]
+		b = b[1+cnt:]
+		if cnt == 0 {
+			continue
+		}
+		miss, ok := runs[string(run)]
+		if !ok {
+			miss = make([]string, cnt)
+			for j, idx := range run {
+				if miss[j], err = lookup(idx); err != nil {
 					return nil, err
 				}
 			}
+			if runs == nil {
+				runs = make(map[string][]string)
+			}
+			runs[string(run)] = miss
 		}
-		b = b[cnt:]
+		rs[i].Missing = miss
 	}
 	if version >= VersionIntervals {
 		if len(b) < 16*n+bitmapLen(n) {

@@ -145,3 +145,42 @@ func TestAppendResultsBounds(t *testing.T) {
 		t.Fatal("string-table overflow must error")
 	}
 }
+
+// TestResultCodecAllocsFlat: encoding and decoding are per batch, not
+// per row — a Missing slice shared across rows is resolved once on
+// encode and decoded into one shared slice — so 256 degraded rows
+// allocate no more than 16 do.
+func TestResultCodecAllocsFlat(t *testing.T) {
+	noSpeed := []string{"moving_speed", "compass_sin", "compass_cos"}
+	noBearing := []string{"compass_sin", "compass_cos"}
+	rows := func(n int) []Result {
+		rs := make([]Result, n)
+		for i := range rs {
+			rs[i] = Result{Mbps: float64(i), Class: "Low", Source: "L", Tier: 1, Degraded: true,
+				Missing: noSpeed, P10: 0, P90: float64(2 * i), HasInterval: true}
+			if i%3 == 0 {
+				rs[i].Missing, rs[i].Source = noBearing, "HM"
+			}
+		}
+		return rs
+	}
+	allocs := func(n int) (enc, dec float64) {
+		rs := rows(n)
+		frame, err := AppendResultsIntervals(nil, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, 2*len(frame))
+		enc = testing.AllocsPerRun(50, func() { _, _ = AppendResultsIntervals(buf[:0], rs) })
+		dec = testing.AllocsPerRun(50, func() { _, _ = DecodeResults(frame, n) })
+		return enc, dec
+	}
+	encSmall, decSmall := allocs(16)
+	encBig, decBig := allocs(256)
+	if encBig > encSmall {
+		t.Fatalf("AppendResultsIntervals allocates %v times for 256 rows, %v for 16", encBig, encSmall)
+	}
+	if decBig > decSmall {
+		t.Fatalf("DecodeResults allocates %v times for 256 rows, %v for 16", decBig, decSmall)
+	}
+}
