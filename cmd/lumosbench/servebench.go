@@ -98,6 +98,8 @@ type serveBenchReport struct {
 	Seed        uint64 `json:"seed"`
 	ModelTrees  int    `json:"model_trees"`
 	ModelRows   int    `json:"model_rows"`
+	// TreeKernel names the batch kernel the compiled ensemble selected.
+	TreeKernel string `json:"tree_kernel"`
 	// KernelRuns: each kernel row is the fastest of this many runs.
 	KernelRuns int `json:"kernel_runs"`
 
@@ -433,6 +435,7 @@ func runServeBench(path string, seed uint64) error {
 	workers := runtime.GOMAXPROCS(0)
 	rep.ModelTrees = comp.NumTrees()
 	rep.ModelRows = n
+	rep.TreeKernel = comp.Kernel()
 
 	// Bit-identity first: a fast wrong kernel is worthless.
 	want := make([]float64, n)
@@ -616,8 +619,8 @@ func runServeBench(path string, seed uint64) error {
 	for _, k := range rep.Kernel {
 		fmt.Printf("%-27s %9.0f ns/op  %8.1f ns/row\n", k.Name, k.NsPerOp, k.NsPerRow)
 	}
-	fmt.Printf("batch speedup: %.2fx serial, %.2fx parallel  identical=%t\n",
-		rep.BatchSpeedupSerial, rep.BatchSpeedupParallel, rep.Identical)
+	fmt.Printf("batch speedup: %.2fx serial, %.2fx parallel  identical=%t  kernel=%s\n",
+		rep.BatchSpeedupSerial, rep.BatchSpeedupParallel, rep.Identical, rep.TreeKernel)
 	fmt.Printf("lstm: identical=%t  int8 max rel err %.2e (budget %.2e)  fingerprint %s\n",
 		rep.LSTM.Identical, rep.LSTM.Int8MaxRelErr, rep.LSTM.Int8ErrBudget, rep.LSTM.Int8Fingerprint)
 	for _, h := range rep.Handlers {
@@ -673,6 +676,11 @@ func runServeSelftest(seed uint64) error {
 	if comp == nil {
 		return fmt.Errorf("selftest: model did not compile")
 	}
+	// A depth-5 GBDT must take the bitmask batch kernel; anything else
+	// is a silent fallback to a slower kernel.
+	if k := comp.Kernel(); k != "bitmask" {
+		return fmt.Errorf("selftest: GBDT selected the %s batch kernel, want bitmask", k)
+	}
 	treeIdentical := true
 	batch := m.PredictBatch(mat.X)
 	for i, x := range mat.X {
@@ -681,7 +689,7 @@ func runServeSelftest(seed uint64) error {
 			break
 		}
 	}
-	fmt.Printf("selftest: tree kernel identical=%t over %d rows\n", treeIdentical, len(mat.X))
+	fmt.Printf("selftest: tree kernel %s identical=%t over %d rows\n", comp.Kernel(), treeIdentical, len(mat.X))
 
 	lstmCfg := nn.Seq2SeqConfig{InputDim: len(mat.X[0]), Hidden: 8, Layers: 1, Epochs: 2, Batch: 64, Seed: seed}
 	lm, err := nn.NewLSTMRegressor(lstmCfg)

@@ -442,12 +442,12 @@ func (c *FallbackChain) PredictQueries(qs []features.Query, out []ChainPredictio
 
 // predictSlab runs n feature rows of one tier, packed width apart in
 // slab, through the tier's model: a single row through the model's
-// one-row path, more as one vectorised batch (element-for-element equal,
-// per the ml.BatchRegressor contract). one is the single-row result
-// buffer.
+// one-row kernel, more as one vectorised batch (element-for-element
+// equal, per the ml.BatchRegressor contract). one is the single-row
+// result buffer.
 func predictSlab(p *Predictor, slab []float64, width, n int, one []float64) []float64 {
 	if n == 1 {
-		one[0] = p.reg.Predict(slab)
+		one[0] = p.predictOne(slab)
 		return one
 	}
 	X := make([][]float64, n)

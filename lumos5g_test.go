@@ -140,6 +140,42 @@ func TestTrainPredictor(t *testing.T) {
 	}
 }
 
+// TestPredictorOneRowMatchesInterpreted pins the one-row methods, served
+// by the compiled walker, bit for bit to the interpreted ensemble on
+// every dataset row and on rows carrying ±Inf or NaN of either sign.
+func TestPredictorOneRowMatchesInterpreted(t *testing.T) {
+	a, _ := AreaByName("Airport")
+	d, _ := CleanDataset(GenerateArea(a, tinyCampaign()))
+	odd := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1)}
+	for _, m := range []Model{ModelGDBT, ModelRF} {
+		p, err := Train(d, GroupLM, m, testScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cm, ok := p.reg.(compiledModel); !ok || cm.Compiled() == nil {
+			t.Fatalf("%s: no compiled ensemble to serve one row", m)
+		}
+		rows := features.Build(d, GroupLM).X
+		for i, x := range rows[:200] {
+			y := append([]float64(nil), x...)
+			y[i%len(y)] = odd[i%len(odd)]
+			rows = append(rows, y)
+		}
+		for i, x := range rows {
+			want := p.reg.Predict(x)
+			if got := p.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s row %d %v: Predict %v != interpreted %v", m, i, x, got, want)
+			}
+			if got := p.PredictInterval(x).P50; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s row %d %v: PredictInterval p50 %v != interpreted %v", m, i, x, got, want)
+			}
+			if got := p.PredictClass(x); got != ClassOf(want) {
+				t.Fatalf("%s row %d %v: PredictClass %v != %v", m, i, x, got, ClassOf(want))
+			}
+		}
+	}
+}
+
 func TestTrainRejectsHM(t *testing.T) {
 	a, _ := AreaByName("Airport")
 	d, _ := CleanDataset(GenerateArea(a, tinyCampaign()))

@@ -7,6 +7,7 @@ import (
 	"lumos5g/internal/core"
 	"lumos5g/internal/features"
 	"lumos5g/internal/ml"
+	"lumos5g/internal/ml/compiled"
 	"lumos5g/internal/ml/forest"
 	"lumos5g/internal/ml/gbdt"
 	"lumos5g/internal/ml/knn"
@@ -162,7 +163,7 @@ func (p *Predictor) HasInterval() bool { return p.ival != nil }
 // p10 <= p50 <= p90 enforced. Uncalibrated predictors return the
 // zero-width band at the point prediction.
 func (p *Predictor) PredictInterval(x []float64) ml.Interval {
-	mid := p.reg.Predict(x)
+	mid := p.predictOne(x)
 	if p.ival == nil {
 		return ml.Degenerate(mid)
 	}
@@ -197,10 +198,29 @@ func (p *Predictor) FeatureNames() []string {
 
 // Predict estimates throughput for one raw feature vector (in the order
 // of FeatureNames).
-func (p *Predictor) Predict(x []float64) float64 { return p.reg.Predict(x) }
+func (p *Predictor) Predict(x []float64) float64 { return p.predictOne(x) }
 
 // PredictClass maps Predict's output to a throughput class.
-func (p *Predictor) PredictClass(x []float64) Class { return ml.ClassOf(p.reg.Predict(x)) }
+func (p *Predictor) PredictClass(x []float64) Class { return ml.ClassOf(p.predictOne(x)) }
+
+// compiledModel is a fitted ensemble with a compiled inference kernel
+// (gbdt.Model, forest.Model).
+type compiledModel interface {
+	Compiled() *compiled.Ensemble
+}
+
+// predictOne answers one feature row through the model's compiled
+// one-row kernel when it has one — bit-identical to the model's own
+// Predict, which stays the interpreted parity oracle — and through the
+// model's Predict otherwise.
+func (p *Predictor) predictOne(x []float64) float64 {
+	if m, ok := p.reg.(compiledModel); ok {
+		if e := m.Compiled(); e != nil {
+			return e.Predict(x)
+		}
+	}
+	return p.reg.Predict(x)
+}
 
 // PredictBatch estimates throughput for many raw feature vectors at
 // once, taking the model's vectorised fast path when it has one. Each
