@@ -1,9 +1,10 @@
 # Tier-1 verification and development targets.
 #
-# `make tier1` is the CI gate: build, the serving fast-path selftest,
-# vet, and the full test suite once under the race detector (the
-# fault-injection and resilience tests exercise heavy goroutine churn, so
-# they must stay race-clean). The race-* targets race-check one layer in
+# `make tier1` is the CI gate: gofmt (the trees `make fmt` formats),
+# build, the serving fast-path selftest, vet, and the full test suite
+# once under the race detector (the fault-injection and resilience tests
+# exercise heavy goroutine churn, so they must stay race-clean). The
+# race-* targets race-check one layer in
 # isolation for a fast inner loop; tier1 does not repeat them, since
 # `go test -race ./...` already runs every one of their packages. `make
 # fuzz` runs the parser/artifact/wire fuzz targets for a short burst — not
@@ -15,7 +16,8 @@ FUZZTIME ?= 5s
 
 .PHONY: tier1 build vet test race race-core race-parallel race-fleet race-ingest race-load race-abr parity bench bench-json bench-serve bench-fleet bench-ingest bench-load bench-abr fmt fuzz
 
-tier1: ## build + selftest + vet + race-enabled test suite (run `make fuzz` too when touching parsers)
+tier1: ## gofmt + build + selftest + vet + race-enabled test suite (run `make fuzz` too when touching parsers)
+	test -z "$$(gofmt -l cmd internal examples *.go)"
 	$(GO) build ./... && $(GO) build -o bin/lumosbench ./cmd/lumosbench && ./bin/lumosbench -selftest && $(GO) vet ./... && $(GO) test -race ./...
 
 build:
@@ -59,7 +61,7 @@ race-load:
 
 # The ABR simulator/controllers and the interval serving path they
 # consume, race-checked: simulator correctness pins, interval ordering
-# across fallback tiers, and the dual-flavor prediction caches.
+# across fallback tiers, and the dual-flavor prediction cache.
 race-abr:
 	$(GO) test -race ./internal/abr/... ./internal/mapserver/... ./internal/fleet/... .
 
@@ -78,10 +80,10 @@ bench-json:
 	$(GO) run ./cmd/lumosbench -parbench BENCH_parallel.json
 
 # Serving fast-path report: compiled-vs-interpreted inference kernels
-# (tree and LSTM, each with a bit-identity check and an int8 error
-# budget), /predict handler allocations cold vs cached vs server-only,
-# the JSON and binary /predict/batch encodings, and the pre-PR handler
-# baseline for the alloc comparison. The same parity and budget gates
+# (tree and LSTM, each with a bit-identity check), /predict handler
+# allocations cold vs cached vs server-only, the JSON and binary
+# /predict/batch encodings, and the pre-PR handler baseline for the
+# alloc comparison. The same parity and budget gates
 # run without timing loops as `lumosbench -selftest`, wired into tier1.
 bench-serve:
 	$(GO) run ./cmd/lumosbench -servebench BENCH_serve.json

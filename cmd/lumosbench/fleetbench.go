@@ -8,13 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"lumos5g"
 	"lumos5g/internal/fleet"
 	"lumos5g/internal/mapserver"
+	"lumos5g/internal/stats"
 )
 
 // The -fleetbench mode measures the sharded fleet's routing overhead
@@ -23,7 +23,9 @@ import (
 // replica hard-killed a quarter of the way into the run (the
 // supervisor restarts it with backoff, so the tail captures failover,
 // hedging, and recovery). Requests go through the real Router over
-// real loopback TCP to the replicas. It writes BENCH_fleet.json.
+// real loopback TCP to the replicas. Percentiles are stats.Quantile
+// (linear interpolation between order statistics), the convention
+// internal/load and e2ebench report with. It writes BENCH_fleet.json.
 
 // fleetScenarioResult is one load run's outcome.
 type fleetScenarioResult struct {
@@ -52,15 +54,6 @@ type fleetBenchReport struct {
 	// KilledP99OverHealthy is the one-replica-killed p99 divided by the
 	// healthy N-shard p99 — the latency price of riding out a failure.
 	KilledP99OverHealthy float64 `json:"killed_p99_over_healthy"`
-}
-
-// quantileMs picks the q-th quantile from sorted millisecond samples.
-func quantileMs(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // fleetLoad hammers the handler with workers goroutines for duration,
@@ -99,7 +92,6 @@ func fleetLoad(h http.Handler, urls []string, workers int, duration time.Duratio
 		}(w)
 	}
 	wg.Wait()
-	sort.Float64s(latencies)
 	return latencies, failures
 }
 
@@ -182,7 +174,7 @@ func runFleetBench(path string, seed uint64) error {
 			DurationS: loadDuration.Seconds(),
 			Requests:  len(lats), Failures: fails,
 			QPS:   float64(len(lats)) / loadDuration.Seconds(),
-			P50Ms: quantileMs(lats, 0.5), P99Ms: quantileMs(lats, 0.99),
+			P50Ms: stats.Quantile(lats, 0.5), P99Ms: stats.Quantile(lats, 0.99),
 			Note: note,
 		})
 		return nil

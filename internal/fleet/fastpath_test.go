@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
+	"lumos5g"
 	"lumos5g/internal/mapserver"
 	"lumos5g/internal/wire"
 )
@@ -93,64 +93,60 @@ func TestFleetBatchBinaryByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRouterPredictCache covers the opt-in router-side response cache:
-// a repeat query serves from the router (X-Fleet-Cache: hit, identical
-// body, hit counter), and SetTopology drops the cache wholesale.
-func TestRouterPredictCache(t *testing.T) {
-	cfg := testFleetConfig()
-	cfg.Router.PredictCacheSize = 64
-	f := startTestFleet(t, cfg)
-	rt := f.Router()
+// TestRouterPredictFollowsReplicaSwap: the router holds no answers of
+// its own, so once every replica swaps its model the next /predict is
+// the new model's answer, byte for byte what the answering replica
+// serves directly. Both answers carry the owning shard and the serving
+// replica as attribution headers.
+func TestRouterPredictFollowsReplicaSwap(t *testing.T) {
+	f := startTestFleet(t, testFleetConfig())
 	_, _, points := fixture(t)
+	p, i := points[3], 3
+	sp, br := float64(i%20), float64((i*37)%360)
+	owner := f.Topology().Owner(RouteKey(p[0], p[1], &sp, &br)).ID
+	u := predictURL(p, true, i)
 
-	get := func(i int) *httptest.ResponseRecorder {
+	get := func(h http.Handler) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, predictURL(points[i%len(points)], true, i), nil))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, u, nil))
 		if rec.Code != http.StatusOK {
-			t.Fatalf("query %d: %d %s", i, rec.Code, rec.Body.String())
+			t.Fatalf("%s: %d %s", u, rec.Code, rec.Body.String())
 		}
 		return rec
 	}
-
-	first := get(3)
-	if first.Header().Get("X-Fleet-Cache") == "hit" {
-		t.Fatal("cold query served from cache")
-	}
-	second := get(3)
-	if second.Header().Get("X-Fleet-Cache") != "hit" {
-		t.Fatal("repeat query did not hit the cache")
-	}
-	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-		t.Fatalf("cached body diverged: %s vs %s", first.Body.String(), second.Body.String())
-	}
-	if second.Header().Get("X-Fleet-Shard") == "" || second.Header().Get("X-Fleet-Replica") == "" {
-		t.Fatal("cached answer lost its shard/replica attribution")
-	}
-	if hits := rt.m.cacheHits.Value(); hits != 1 {
-		t.Fatalf("cacheHits = %v, want 1", hits)
-	}
-	if misses := rt.m.cacheMisses.Value(); misses < 1 {
-		t.Fatalf("cacheMisses = %v, want >= 1", misses)
-	}
-	if n := rt.pcache.Load().size(); n != 1 {
-		t.Fatalf("cache holds %d entries, want 1", n)
+	attributed := func(rec *httptest.ResponseRecorder) *supReplica {
+		if got := rec.Header().Get("X-Fleet-Shard"); got != owner {
+			t.Fatalf("X-Fleet-Shard = %q, want owner %q", got, owner)
+		}
+		id := rec.Header().Get("X-Fleet-Replica")
+		sr := f.findReplica(id)
+		if sr == nil {
+			t.Fatalf("X-Fleet-Replica = %q names no replica", id)
+		}
+		return sr
 	}
 
-	// A topology change invalidates everything: answers routed under the
-	// old topology must not outlive it.
-	rt.SetTopology(f.Topology())
-	if n := rt.pcache.Load().size(); n != 0 {
-		t.Fatalf("cache holds %d entries after SetTopology", n)
-	}
-	third := get(3)
-	if third.Header().Get("X-Fleet-Cache") == "hit" {
-		t.Fatal("query served from cache across a topology change")
+	before := get(f.Router())
+	attributed(before)
+	if bytes.Contains(before.Body.Bytes(), []byte(`"source":"HM"`)) {
+		t.Fatalf("fixture chain answered from its last resort: %s", before.Body.String())
 	}
 
-	// Default config keeps the cache off entirely.
-	off := NewRouter(f.Topology(), RouterConfig{ProbeInterval: time.Minute})
-	t.Cleanup(off.Close)
-	if off.pcache.Load() != nil {
-		t.Fatal("cache enabled without PredictCacheSize")
+	hm, err := lumos5g.NewFallbackChain(123.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ss := range f.shards {
+		for _, sr := range ss.reps {
+			sr.ms.SetChain(hm)
+		}
+	}
+	after := get(f.Router())
+	direct := get(attributed(after).ms)
+	if !bytes.Equal(after.Body.Bytes(), direct.Body.Bytes()) {
+		t.Fatalf("router answer %s != replica answer %s", after.Body.String(), direct.Body.String())
+	}
+	if !bytes.Contains(after.Body.Bytes(), []byte(`"source":"HM"`)) {
+		t.Fatalf("answer after the swap is not the new model's: %s", after.Body.String())
 	}
 }

@@ -51,12 +51,11 @@ func calFixture(t *testing.T) (*lumos5g.ThroughputMap, *lumos5g.FallbackChain, [
 	return calTM, calChain, calPoints
 }
 
-func startCalibratedFleet(t *testing.T, cacheSize int) (*Fleet, [][2]float64) {
+func startCalibratedFleet(t *testing.T) (*Fleet, [][2]float64) {
 	t.Helper()
 	tm, chain, points := calFixture(t)
 	cfg := testFleetConfig()
 	cfg.Shards, cfg.Replicas = 2, 1
-	cfg.Router.PredictCacheSize = cacheSize
 	f, err := StartFleet(tm, chain, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +87,7 @@ type ivalRow struct {
 // negotiation to the owning replica and the answer carries an ordered
 // band; interval-off answers keep the historical field set.
 func TestFleetPredictIntervals(t *testing.T) {
-	f, points := startCalibratedFleet(t, 0)
+	f, points := startCalibratedFleet(t)
 	for i, p := range points[:4] {
 		u := predictURL(p, true, i) + "&intervals=1"
 		code, body, _ := routerDo(f, httptest.NewRequest(http.MethodGet, u, nil))
@@ -113,32 +112,11 @@ func TestFleetPredictIntervals(t *testing.T) {
 	}
 }
 
-// TestFleetRouterCacheFlavors: with the router cache on, the two
-// negotiations of one quantized query are distinct entries — a cached
-// point body is never served to an interval request or vice versa.
-func TestFleetRouterCacheFlavors(t *testing.T) {
-	f, points := startCalibratedFleet(t, 64)
-	p := points[0]
-	point := predictURL(p, true, 1)
-	ival := point + "&intervals=1"
-
-	for round := 0; round < 2; round++ { // second round hits the cache
-		code, body, _ := routerDo(f, httptest.NewRequest(http.MethodGet, point, nil))
-		if code != http.StatusOK || strings.Contains(string(body), `"p10"`) {
-			t.Fatalf("round %d point: %d %s", round, code, body)
-		}
-		code, body, _ = routerDo(f, httptest.NewRequest(http.MethodGet, ival, nil))
-		if code != http.StatusOK || !strings.Contains(string(body), `"p10"`) {
-			t.Fatalf("round %d interval: %d %s", round, code, body)
-		}
-	}
-}
-
 // TestFleetBatchIntervals: the scatter-gather path forwards the
 // interval negotiation to every shard, the JSON envelope rows carry
 // bands, and the merged binary v2 frame agrees with them.
 func TestFleetBatchIntervals(t *testing.T) {
-	f, points := startCalibratedFleet(t, 0)
+	f, points := startCalibratedFleet(t)
 	var sb strings.Builder
 	sb.WriteString("[")
 	n := 8

@@ -32,11 +32,6 @@ type Router struct {
 	topo atomic.Pointer[Topology]
 	pb   *prober
 
-	// pcache is the optional router-side /predict response cache (nil
-	// when PredictCacheSize is 0, the default). Replaced wholesale on
-	// SetTopology so membership changes drop every cached answer.
-	pcache atomic.Pointer[routerCache]
-
 	jmu sync.Mutex
 	jit *rng.Source // jittered backoff; seeded for reproducible tests
 
@@ -66,11 +61,6 @@ type RouterConfig struct {
 	BreakerCooldown  time.Duration
 	// MaxBatchRows caps one /predict/batch request (default 10000).
 	MaxBatchRows int
-	// PredictCacheSize enables the router-side /predict response cache
-	// with that many quantized-key entries (see cache.go). 0 — the
-	// default — disables it: the router cannot observe replica model
-	// reloads, so enabling it accepts bounded staleness.
-	PredictCacheSize int
 	// Seed seeds the backoff jitter (0 = a fixed default; tests pass
 	// their own for reproducibility).
 	Seed uint64
@@ -115,9 +105,6 @@ func NewRouter(topo *Topology, cfg RouterConfig) *Router {
 	cfg.fill()
 	rt := &Router{cfg: cfg, client: cfg.Client, jit: rng.New(cfg.Seed), mux: http.NewServeMux()}
 	rt.topo.Store(topo)
-	if cfg.PredictCacheSize > 0 {
-		rt.pcache.Store(newRouterCache(cfg.PredictCacheSize))
-	}
 	rt.m = newRouterMetrics(rt)
 	for _, sh := range topo.Shards {
 		for _, rep := range sh.Replicas {
@@ -158,11 +145,6 @@ func (rt *Router) SetTopology(t *Topology) {
 		}
 	}
 	rt.topo.Store(t)
-	// A membership change invalidates the response cache wholesale:
-	// answers routed under the old topology must not outlive it.
-	if rt.cfg.PredictCacheSize > 0 {
-		rt.pcache.Store(newRouterCache(rt.cfg.PredictCacheSize))
-	}
 }
 
 // Metrics returns the router's own registry (fleet_* instruments).
@@ -383,46 +365,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
-	cache := rt.pcache.Load()
-	if cache == nil {
-		rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
-		return
-	}
-	// The intervals negotiation (forwarded verbatim to the replica)
-	// changes the response bytes, so it is part of the cache identity.
-	iv := q.Get("intervals")
-	ckey := rcKey{Key: key, ival: iv == "1" || iv == "true"}
-	e, leader := cache.acquire(ckey)
-	if !leader {
-		<-e.ready
-		if e.body != nil {
-			rt.m.cacheHits.Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Fleet-Shard", e.shard)
-			w.Header().Set("X-Fleet-Replica", e.replica)
-			w.Header().Set("X-Fleet-Cache", "hit")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(e.body)
-			return
-		}
-		// The leader abandoned the entry (every candidate failed, or a
-		// definitive client error): fetch for ourselves, uncached.
-		rt.m.cacheMisses.Inc()
-		rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
-		return
-	}
-	rt.m.cacheMisses.Inc()
-	filled := false
-	defer func() {
-		if !filled {
-			cache.abandon(ckey, e)
-		}
-	}()
-	body, shardID, replicaID, served := rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
-	if served {
-		cache.fill(e, body, shardID, replicaID)
-		filled = true
-	}
+	rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
 }
 
 // hedgedGET is the failover engine shared by /predict: it walks the
@@ -432,10 +375,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 // first success. First 4xx forwards too: it is the same answer
 // everywhere. Only when every candidate has failed does the client see
 // a 503, with Retry-After when the fleet was shedding rather than dead.
-// The return values feed the optional response cache: the 200 body it
-// forwarded with its shard/replica attribution, served=false for every
-// other outcome (which must never be cached).
-func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []candidate, path, rawQuery string) (body []byte, shardID, replicaID string, served bool) {
+func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []candidate, path, rawQuery string) {
 	ctx := r.Context()
 	results := make(chan attemptResult, len(cands))
 	next, inFlight := 0, 0
@@ -487,7 +427,7 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 				w.Header().Set("X-Fleet-Replica", res.cand.rep.ID)
 				w.WriteHeader(http.StatusOK)
 				_, _ = w.Write(res.body)
-				return res.body, res.cand.shard.ID, res.cand.rep.ID, true
+				return
 			}
 			if res.definitive() {
 				if ct := res.header.Get("Content-Type"); ct != "" {

@@ -201,7 +201,7 @@ func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictRespo
 		}
 		// The leader abandoned the entry; answer uncached.
 		resp, bd := comp.computePredict()
-		body := marshalFlavor(resp, bd, wantIval)
+		body := marshalPredict(resp, bd, wantIval)
 		if body == nil {
 			return resp, nil, outcomeInvalid
 		}
@@ -233,8 +233,8 @@ func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictRespo
 		}
 	}()
 	resp, bd := comp.computePredict()
-	body := marshalResponse(resp)
-	ibody := marshalIntervalResponse(resp, bd)
+	body := marshalPredict(resp, bd, false)
+	ibody := marshalPredict(resp, bd, true)
 	done = true
 	if body == nil || ibody == nil {
 		// Wire-unsafe value: never publish it. Drop the entry so the key
@@ -266,44 +266,22 @@ func wireSafe(resp predictResponse) bool {
 	return !math.IsNaN(resp.Mbps) && !math.IsInf(resp.Mbps, 0)
 }
 
-// marshalResponse renders the wire body exactly as json.Encoder would
-// (trailing newline included) so cached and uncached responses are
-// byte-identical. Returns nil — never panics — when the response has no
-// JSON encoding; the caller turns that into a clean 500. The body is
-// rendered once and memoised alongside the cache entry, so a hit never
-// pays the encoding again.
-func marshalResponse(resp predictResponse) []byte {
-	b := make([]byte, 0, 128)
-	return appendMarshalResponse(b, resp)
-}
-
-// appendMarshalResponse is marshalResponse into a caller-owned buffer.
-// NOTE: cached bodies must own their bytes — only pass a fresh buffer
-// when the result is stored.
-func appendMarshalResponse(dst []byte, resp predictResponse) []byte {
-	if !wireSafe(resp) {
+// marshalPredict renders one /predict body in the negotiated flavor
+// exactly as json.Encoder would (trailing newline included), so cached
+// and uncached responses are byte-identical. Returns nil — never
+// panics — when the response, or with ival its band, has no JSON
+// encoding; the caller turns that into a clean 500. Each body gets a
+// fresh buffer sized for its flavor (128 B point, 160 B interval): the
+// cache memoises it, so it must own its bytes, and a hit never pays the
+// encoding again.
+func marshalPredict(resp predictResponse, bd band, ival bool) []byte {
+	if !wireSafe(resp) || ival && !bandSafe(bd) {
 		return nil
 	}
-	dst = appendPredictResponse(dst, resp)
-	return append(dst, '\n')
-}
-
-// marshalIntervalResponse is marshalResponse for the interval wire
-// form: the response with its p10/p50/p90 band spliced in. Nil when
-// either the point value or the band has no JSON encoding.
-func marshalIntervalResponse(resp predictResponse, bd band) []byte {
-	if !wireSafe(resp) || !bandSafe(bd) {
-		return nil
+	size := 128
+	if ival {
+		size = 160
 	}
-	b := make([]byte, 0, 160)
-	b = appendPredictIntervalResponse(b, intervalResponse(resp, bd))
+	b := appendPredict(make([]byte, 0, size), resp, bd, ival)
 	return append(b, '\n')
-}
-
-// marshalFlavor renders whichever wire form the request negotiated.
-func marshalFlavor(resp predictResponse, bd band, wantIval bool) []byte {
-	if wantIval {
-		return marshalIntervalResponse(resp, bd)
-	}
-	return marshalResponse(resp)
 }

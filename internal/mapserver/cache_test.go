@@ -242,15 +242,15 @@ func TestPredCacheNonFiniteLeader(t *testing.T) {
 }
 
 // TestMarshalResponseNonFinite is the regression for the panic that
-// lived here: marshalResponse must return nil — not panic — for every
+// lived here: marshalPredict must return nil — not panic — for every
 // non-finite Mbps.
 func TestMarshalResponseNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if b := marshalResponse(predictResponse{Mbps: v}); b != nil {
+		if b := marshalPredict(predictResponse{Mbps: v}, band{}, false); b != nil {
 			t.Fatalf("Mbps=%v must have no wire form, got %q", v, b)
 		}
 	}
-	if b := marshalResponse(predictResponse{Mbps: 12}); b == nil || b[len(b)-1] != '\n' {
+	if b := marshalPredict(predictResponse{Mbps: 12}, band{}, false); b == nil || b[len(b)-1] != '\n' {
 		t.Fatalf("finite response must marshal newline-terminated: %q", b)
 	}
 }

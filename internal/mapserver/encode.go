@@ -8,11 +8,13 @@ import (
 )
 
 // Hand-rolled JSON rendering of the /predict wire form. The byte output
-// is pinned — by TestAppendPredictResponseMatchesStdlib — to be exactly
-// what encoding/json produces for predictResponse (default HTML
-// escaping included), so cached bodies, uncached recomputes and batch
-// rows stay byte-identical with the historical wire format while
-// skipping the reflection walk and per-call scratch of json.Marshal.
+// is pinned — by TestAppendPredictResponseMatchesStdlib and
+// TestAppendPredictIntervalResponseMatchesStdlib — to be exactly what
+// encoding/json produces for the point and interval response structs
+// (default HTML escaping included), so cached bodies, uncached
+// recomputes and batch rows stay byte-identical with the historical
+// wire format while skipping the reflection walk and per-call scratch
+// of json.Marshal.
 
 // jsonSafe marks the ASCII bytes encoding/json copies through verbatim
 // inside a string (its htmlSafeSet): printable, minus the JSON escapes
@@ -98,74 +100,23 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendPredictResponse appends one prediction object, byte-identical
-// to json.Marshal of the struct (field order is the struct's).
-func appendPredictResponse(dst []byte, r predictResponse) []byte {
+// appendPredict appends one prediction object, byte-identical to
+// json.Marshal of predictResponse (field order is the struct's). With
+// ival it renders the interval wire form instead: the bd band spliced
+// in as p10/p50/p90 right after mbps, with p50 repeating mbps so
+// clients reading only the triple see a complete quantile set.
+// Interval-off bodies keep the historical field set byte for byte.
+func appendPredict(dst []byte, r predictResponse, bd band, ival bool) []byte {
 	dst = append(dst, `{"mbps":`...)
 	dst = appendJSONFloat(dst, r.Mbps)
-	dst = append(dst, `,"class":`...)
-	dst = appendJSONString(dst, r.Class)
-	dst = append(dst, `,"group":`...)
-	dst = appendJSONString(dst, r.Group)
-	dst = append(dst, `,"source":`...)
-	dst = appendJSONString(dst, r.Source)
-	dst = append(dst, `,"tier":`...)
-	dst = strconv.AppendInt(dst, int64(r.Tier), 10)
-	dst = append(dst, `,"degraded":`...)
-	dst = strconv.AppendBool(dst, r.Degraded)
-	if len(r.Missing) > 0 {
-		dst = append(dst, `,"missing":[`...)
-		for i, m := range r.Missing {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, m)
-		}
-		dst = append(dst, ']')
+	if ival {
+		dst = append(dst, `,"p10":`...)
+		dst = appendJSONFloat(dst, bd.p10)
+		dst = append(dst, `,"p50":`...)
+		dst = appendJSONFloat(dst, r.Mbps)
+		dst = append(dst, `,"p90":`...)
+		dst = appendJSONFloat(dst, bd.p90)
 	}
-	return append(dst, '}')
-}
-
-// predictIntervalResponse is the /predict wire form when intervals are
-// negotiated (?intervals=1): the point fields of predictResponse with
-// the p10/p50/p90 band spliced in right after mbps. P50 always equals
-// Mbps — it is repeated so clients reading only the triple see a
-// complete quantile set. Kept as its own struct so the stdlib-parity
-// test pins this encoder the same way the point form is pinned, and so
-// interval-off responses keep the historical field set byte for byte.
-type predictIntervalResponse struct {
-	Mbps     float64  `json:"mbps"`
-	P10      float64  `json:"p10"`
-	P50      float64  `json:"p50"`
-	P90      float64  `json:"p90"`
-	Class    string   `json:"class"`
-	Group    string   `json:"group"`
-	Source   string   `json:"source"`
-	Tier     int      `json:"tier"`
-	Degraded bool     `json:"degraded"`
-	Missing  []string `json:"missing,omitempty"`
-}
-
-// intervalResponse splices a band into the point wire form.
-func intervalResponse(r predictResponse, bd band) predictIntervalResponse {
-	return predictIntervalResponse{
-		Mbps: r.Mbps, P10: bd.p10, P50: r.Mbps, P90: bd.p90,
-		Class: r.Class, Group: r.Group, Source: r.Source,
-		Tier: r.Tier, Degraded: r.Degraded, Missing: r.Missing,
-	}
-}
-
-// appendPredictIntervalResponse appends one interval prediction object,
-// byte-identical to json.Marshal of predictIntervalResponse.
-func appendPredictIntervalResponse(dst []byte, r predictIntervalResponse) []byte {
-	dst = append(dst, `{"mbps":`...)
-	dst = appendJSONFloat(dst, r.Mbps)
-	dst = append(dst, `,"p10":`...)
-	dst = appendJSONFloat(dst, r.P10)
-	dst = append(dst, `,"p50":`...)
-	dst = appendJSONFloat(dst, r.P50)
-	dst = append(dst, `,"p90":`...)
-	dst = appendJSONFloat(dst, r.P90)
 	dst = append(dst, `,"class":`...)
 	dst = appendJSONString(dst, r.Class)
 	dst = append(dst, `,"group":`...)

@@ -43,7 +43,7 @@ func TestAppendPredictResponseMatchesStdlib(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := appendPredictResponse(nil, resp)
+			got := appendPredict(nil, resp, band{}, false)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("encoder diverges for %+v:\n got %s\nwant %s", resp, got, want)
 			}
@@ -61,8 +61,8 @@ func TestMarshalResponseMatchesEncoder(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
 		t.Fatal(err)
 	}
-	if got := marshalResponse(resp); !bytes.Equal(got, buf.Bytes()) {
-		t.Fatalf("marshalResponse %q != json.Encoder %q", got, buf.Bytes())
+	if got := marshalPredict(resp, band{}, false); !bytes.Equal(got, buf.Bytes()) {
+		t.Fatalf("marshalPredict %q != json.Encoder %q", got, buf.Bytes())
 	}
 }
 
@@ -82,7 +82,7 @@ func TestBatchBodyMatchesStdlib(t *testing.T) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendPredictResponse(b, out[i])
+		b = appendPredict(b, out[i], band{}, false)
 	}
 	b = append(b, ']', '\n')
 	if !bytes.Equal(b, buf.Bytes()) {

@@ -13,6 +13,41 @@ import (
 	"lumos5g/internal/wire"
 )
 
+// predictIntervalResponse is the stdlib reference for the interval wire
+// form (?intervals=1): the point fields of predictResponse with the
+// p10/p50/p90 band spliced in right after mbps. The parity tests below
+// pin appendPredict's interval flavor to json.Marshal of this struct.
+type predictIntervalResponse struct {
+	Mbps     float64  `json:"mbps"`
+	P10      float64  `json:"p10"`
+	P50      float64  `json:"p50"`
+	P90      float64  `json:"p90"`
+	Class    string   `json:"class"`
+	Group    string   `json:"group"`
+	Source   string   `json:"source"`
+	Tier     int      `json:"tier"`
+	Degraded bool     `json:"degraded"`
+	Missing  []string `json:"missing,omitempty"`
+}
+
+// intervalResponse splices a band into the point wire form.
+func intervalResponse(r predictResponse, bd band) predictIntervalResponse {
+	return predictIntervalResponse{
+		Mbps: r.Mbps, P10: bd.p10, P50: r.Mbps, P90: bd.p90,
+		Class: r.Class, Group: r.Group, Source: r.Source,
+		Tier: r.Tier, Degraded: r.Degraded, Missing: r.Missing,
+	}
+}
+
+// splitInterval is intervalResponse's inverse: the point form and band
+// the encoder takes. P50 is dropped — the encoder repeats Mbps there.
+func splitInterval(r predictIntervalResponse) (predictResponse, band) {
+	return predictResponse{
+		Mbps: r.Mbps, Class: r.Class, Group: r.Group, Source: r.Source,
+		Tier: r.Tier, Degraded: r.Degraded, Missing: r.Missing,
+	}, band{p10: r.P10, p90: r.P90}
+}
+
 // TestAppendPredictIntervalResponseMatchesStdlib pins the interval wire
 // encoder to encoding/json byte for byte, over the same float forms,
 // string escape classes and omitempty boundary the point encoder is
@@ -49,7 +84,8 @@ func TestAppendPredictIntervalResponseMatchesStdlib(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := appendPredictIntervalResponse(nil, resp)
+			point, bd := splitInterval(resp)
+			got := appendPredict(nil, point, bd, true)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("interval encoder diverges for %+v:\n got %s\nwant %s", resp, got, want)
 			}
@@ -67,13 +103,13 @@ func TestMarshalIntervalResponseMatchesEncoder(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(intervalResponse(resp, bd)); err != nil {
 		t.Fatal(err)
 	}
-	if got := marshalIntervalResponse(resp, bd); !bytes.Equal(got, buf.Bytes()) {
-		t.Fatalf("marshalIntervalResponse %q != json.Encoder %q", got, buf.Bytes())
+	if got := marshalPredict(resp, bd, true); !bytes.Equal(got, buf.Bytes()) {
+		t.Fatalf("marshalPredict %q != json.Encoder %q", got, buf.Bytes())
 	}
-	if marshalIntervalResponse(predictResponse{Mbps: math.NaN()}, bd) != nil {
+	if marshalPredict(predictResponse{Mbps: math.NaN()}, bd, true) != nil {
 		t.Fatal("non-finite mbps must have no interval wire form")
 	}
-	if marshalIntervalResponse(resp, band{p10: math.Inf(1), p90: 1}) != nil {
+	if marshalPredict(resp, band{p10: math.Inf(1), p90: 1}, true) != nil {
 		t.Fatal("non-finite band must have no interval wire form")
 	}
 }

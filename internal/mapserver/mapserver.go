@@ -50,17 +50,12 @@ import (
 
 // Server bundles the published artifacts.
 type Server struct {
-	tm  *lumos5g.ThroughputMap
 	mux *http.ServeMux
 	h   http.Handler // mux wrapped in the hardening middleware
 
-	// mapPrior is the sample-weighted map-wide mean throughput: the
-	// last-ditch /predict answer and the last-resort prior handed to
-	// single-predictor artifacts on load.
-	mapPrior float64
-
-	// mu guards the live model generation, its prediction cache and
-	// reload bookkeeping. Prediction takes the read lock; hot swaps take
+	// mu guards the live model generation (which also holds the
+	// published map and its prior), its prediction cache and reload
+	// bookkeeping. Prediction takes the read lock; hot swaps take
 	// the write lock, so a reload is atomic with respect to every
 	// in-flight query — and because the cache is replaced in the same
 	// critical section as the engine generation, a swapped-out model's
@@ -160,7 +155,7 @@ func New(tm *lumos5g.ThroughputMap, pred *lumos5g.Predictor, opts ...Option) (*S
 	if err != nil {
 		return nil, err
 	}
-	chain, err := lumos5g.ChainFromPredictor(pred, s.mapPrior)
+	chain, err := lumos5g.ChainFromPredictor(pred, s.Engine().MapPrior())
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +176,7 @@ func NewWithChain(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, opts 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	s := &Server{tm: tm, mux: http.NewServeMux(), eng: eng, mapPrior: eng.MapPrior(), cacheSize: o.cacheSize, logw: o.requestLog}
+	s := &Server{mux: http.NewServeMux(), eng: eng, cacheSize: o.cacheSize, logw: o.requestLog}
 	s.m = newServerMetrics(s)
 	if chain != nil {
 		s.cache = s.newCache()
@@ -258,7 +253,7 @@ func (s *Server) SetChain(c *lumos5g.FallbackChain) {
 // rejected — the error is recorded for /healthz and the previous model
 // keeps serving.
 func (s *Server) ReloadModelFile(path string) error {
-	chain, err := lumos5g.LoadAnyModelFile(path, s.mapPrior)
+	chain, err := lumos5g.LoadAnyModelFile(path, s.Engine().MapPrior())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -314,13 +309,14 @@ type healthJSON struct {
 // bookkeeping path to drift from the exposition.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	chain, cache, reloadErr := s.eng.Chain(), s.cache, s.reloadErr
+	eng, cache, reloadErr := s.eng, s.cache, s.reloadErr
 	s.mu.RUnlock()
+	chain := eng.Chain()
 	m := s.m
 	h := healthJSON{
 		OK:              true,
 		Degraded:        chain == nil || reloadErr != "",
-		Cells:           len(s.tm.Cells),
+		Cells:           len(eng.Map().Cells),
 		Model:           chain != nil,
 		Reloads:         m.reloads.Value(),
 		Rejected:        m.reloadsRejected.Value(),
@@ -346,7 +342,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSVG(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "image/svg+xml")
-	_, _ = w.Write([]byte(s.tm.RenderSVG(6)))
+	_, _ = w.Write([]byte(s.Engine().Map().RenderSVG(6)))
 }
 
 // cellJSON is the wire form of one map cell.
@@ -361,7 +357,7 @@ type cellJSON struct {
 }
 
 func (s *Server) handleCells(w http.ResponseWriter, _ *http.Request) {
-	cells := s.tm.SortedCells()
+	cells := s.Engine().Map().SortedCells()
 	out := make([]cellJSON, len(cells))
 	for i, c := range cells {
 		out[i] = cellJSON{
@@ -561,7 +557,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	wantIval := wantIntervals(rq)
 	if pc.eng.Chain() == nil {
 		resp := engineResponse(pc.eng.MapOnly(pc.px))
-		body := marshalFlavor(resp, degenerateBand(resp.Mbps), wantIval)
+		body := marshalPredict(resp, degenerateBand(resp.Mbps), wantIval)
 		if body == nil {
 			s.m.nonFinite.Inc()
 			writeError(w, http.StatusInternalServerError, "prediction is not finite")
@@ -574,7 +570,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	if cache == nil {
 		resp, bd := pc.computePredict()
-		body := marshalFlavor(resp, bd, wantIval)
+		body := marshalPredict(resp, bd, wantIval)
 		if body == nil {
 			s.m.nonFinite.Inc()
 			writeError(w, http.StatusInternalServerError, "prediction is not finite")
@@ -772,12 +768,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 		if i > 0 {
 			b = append(b, ',')
 		}
-		resp := engineResponse(preds[i])
-		if wantIval {
-			b = appendPredictIntervalResponse(b, intervalResponse(resp, bandOf(preds[i])))
-		} else {
-			b = appendPredictResponse(b, resp)
-		}
+		b = appendPredict(b, engineResponse(preds[i]), bandOf(preds[i]), wantIval)
 	}
 	b = append(b, ']', '\n')
 	writeJSONBytes(w, http.StatusOK, b)

@@ -180,7 +180,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.cacheEntries()) })
 	r.NewGaugeFunc("lumos_map_cells",
 		"Cells in the published throughput map.",
-		func() float64 { return float64(len(s.tm.Cells)) })
+		func() float64 { return float64(len(s.Engine().Map().Cells)) })
 	r.NewGaugeFunc("lumos_model_serving",
 		"1 when a fallback chain is serving, 0 when the server is map-only.",
 		func() float64 {

@@ -1,5 +1,5 @@
 // Package compiled flattens fitted tree ensembles (random forest, GBDT
-// regressor, GBDT classifier) into contiguous, branch-free layouts and
+// regressor) into contiguous, branch-free layouts and
 // evaluates them with the serving fast path's kernels: a one-row walker
 // behind Predict and a batch kernel behind PredictInto
 // (ml.BatchRegressor).
@@ -51,10 +51,10 @@
 // bit-identical floats to the interpreted ensemble's Predict — same
 // float operations, applied in the same order. Per-leaf accumulation is
 // acc = init; acc += scale*leaf (tree order); out = acc or acc/div —
-// exactly the interpreted loops of forest.Predict, gbdt.Model.Predict
-// and gbdt.Classifier.Scores. The parity tests in compiled_test.go and
-// kernel_test.go and the ensemble packages enforce this for forest,
-// GBDT and classifier across every kernel.
+// exactly the interpreted loops of forest.Predict and
+// gbdt.Model.Predict. The parity tests in compiled_test.go and
+// kernel_test.go and the ensemble packages enforce this for forest and
+// GBDT across every kernel.
 package compiled
 
 import (
@@ -75,7 +75,7 @@ type Config struct {
 	// split feature must be below it.
 	NumFeatures int
 	// Init is the accumulator's starting value (0 for a forest, the base
-	// prediction for GBDT, the class prior log-odds for a classifier).
+	// prediction for GBDT).
 	Init float64
 	// Scale multiplies every leaf value as it is accumulated (1 for a
 	// forest, the learning rate for GBDT).

@@ -153,43 +153,6 @@ func TestCompiledForestParity(t *testing.T) {
 	}
 }
 
-func TestCompiledClassifierParity(t *testing.T) {
-	const nf = 5
-	X, y := synthData(600, nf, 8)
-	labels := make([]int, len(y))
-	for i, v := range y {
-		switch {
-		case v < -100:
-			labels[i] = 0
-		case v < 300:
-			labels[i] = 1
-		default:
-			labels[i] = 2
-		}
-	}
-	c := gbdt.NewClassifier(gbdt.Config{Estimators: 15, MaxDepth: 4, Seed: 17}, 3)
-	if err := c.FitLabels(X, labels); err != nil {
-		t.Fatal(err)
-	}
-	if ks := c.Compiled(); len(ks) != 3 || !ks[0].Quantized() {
-		t.Fatalf("classifier kernels: %d", len(ks))
-	}
-	probes := probeRows(X, nf, 9)
-	scores := c.ScoresBatch(probes)
-	preds := c.PredictBatch(probes)
-	for i, x := range probes {
-		want := c.Scores(x)
-		for k := range want {
-			if scores[i][k] != want[k] {
-				t.Fatalf("row %d class %d: %v != %v", i, k, scores[i][k], want[k])
-			}
-		}
-		if preds[i] != c.Predict(x) {
-			t.Fatalf("row %d label: %d != %d", i, preds[i], c.Predict(x))
-		}
-	}
-}
-
 func TestCompileRejectsBadInput(t *testing.T) {
 	if _, err := compiled.Compile(nil, compiled.Config{NumFeatures: 3}); err == nil {
 		t.Fatal("empty ensemble must not compile")

@@ -3,7 +3,6 @@ package compiled
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 
@@ -25,10 +24,7 @@ import (
 // replays nn's forward pass operation for operation — same Transform,
 // same accumulation order in the gate pre-activations, same activation
 // formulas, same head — so its output is bit-identical to the
-// interpreted model's Predict. The int8 variant trades that for a 8×
-// smaller weight footprint with per-channel scales; its error is
-// bounded (checked in tests) and its weight fingerprint is pinned so a
-// quantizer change cannot slip through silently.
+// interpreted model's Predict.
 
 // RNNLayer is one LSTM layer's flattened parameters in nn's fused
 // layout: gate rows packed input, forget, candidate, output; Wx is
@@ -374,276 +370,5 @@ func (k *RNN) PredictNext(seq [][]float64) (float64, error) {
 	k.forward(seq, 0, s)
 	next := s.preds[0]*k.yStd + k.yMean
 	k.pool.Put(s)
-	return next, nil
-}
-
-// ---------------------------------------------------------------------
-// Int8 variant: per-channel (per gate-row) symmetric quantization of
-// the recurrent weight matrices. Biases and the dense head stay
-// float64 — they are O(H) against the O(H²) matrices and carry the
-// dynamic range the gates are most sensitive to.
-
-type rnnLayerInt8 struct {
-	in     int
-	hidden int
-	wx     []int8
-	wxs    []float64 // per-row scale, len 4H
-	wh     []int8
-	whs    []float64
-	b      []float64
-}
-
-// RNNInt8 is the quantized compiled kernel. Its output is NOT
-// bit-identical to the float kernel; the error bound is enforced by
-// tests and the weight fingerprint pins the quantizer's behaviour.
-type RNNInt8 struct {
-	enc    []rnnLayerInt8
-	dec    []rnnLayerInt8
-	wOut   []float64
-	bOut   float64
-	refs   [][]float64
-	yMean  float64
-	yStd   float64
-	outLen int
-	hidden int
-	inDim  int
-	fp     uint64
-	pool   sync.Pool
-}
-
-// quantizeRows quantizes a [rows×cols] row-major matrix with one
-// symmetric scale per row: scale = maxAbs/127, w8 = round(w/scale).
-func quantizeRows(w []float64, rows, cols int) ([]int8, []float64) {
-	q := make([]int8, len(w))
-	scales := make([]float64, rows)
-	for r := 0; r < rows; r++ {
-		row := w[r*cols : (r+1)*cols]
-		maxAbs := 0.0
-		for _, v := range row {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs == 0 {
-			scales[r] = 1
-			continue
-		}
-		s := maxAbs / 127
-		scales[r] = s
-		qRow := q[r*cols : (r+1)*cols]
-		for j, v := range row {
-			qRow[j] = int8(math.RoundToEven(v / s))
-		}
-	}
-	return q, scales
-}
-
-// QuantizeInt8 derives the int8 kernel from a compiled float kernel.
-func (k *RNN) QuantizeInt8() *RNNInt8 {
-	pack := func(layers []rnnLayer) []rnnLayerInt8 {
-		out := make([]rnnLayerInt8, len(layers))
-		for l, lay := range layers {
-			wx, wxs := quantizeRows(lay.wx, 4*lay.hidden, lay.in)
-			wh, whs := quantizeRows(lay.wh, 4*lay.hidden, lay.hidden)
-			out[l] = rnnLayerInt8{
-				in: lay.in, hidden: lay.hidden,
-				wx: wx, wxs: wxs, wh: wh, whs: whs,
-				b: lay.b,
-			}
-		}
-		return out
-	}
-	q := &RNNInt8{
-		enc:    pack(k.enc),
-		wOut:   k.wOut,
-		bOut:   k.bOut,
-		refs:   k.refs,
-		yMean:  k.yMean,
-		yStd:   k.yStd,
-		outLen: k.outLen,
-		hidden: k.hidden,
-		inDim:  k.inDim,
-	}
-	if k.dec != nil {
-		q.dec = pack(k.dec)
-	}
-	q.fp = q.fingerprint()
-	L := len(q.enc)
-	hidden, inDim, outLen := q.hidden, q.inDim, q.outLen
-	q.pool.New = func() any {
-		return &rnnScratch{
-			xnorm: make([]float64, inDim),
-			h:     make([]float64, L*hidden),
-			c:     make([]float64, L*hidden),
-			gates: make([]float64, 4*hidden),
-			preds: make([]float64, outLen),
-		}
-	}
-	return q
-}
-
-// fingerprint hashes every quantized weight byte and every scale's bit
-// pattern (FNV-1a), so any change to the quantizer, the row order, or
-// the underlying model shows up as a different value.
-func (q *RNNInt8) fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeF64 := func(v float64) {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	hashLayers := func(layers []rnnLayerInt8) {
-		for _, lay := range layers {
-			b8 := make([]byte, len(lay.wx))
-			for i, v := range lay.wx {
-				b8[i] = byte(v)
-			}
-			h.Write(b8)
-			b8 = make([]byte, len(lay.wh))
-			for i, v := range lay.wh {
-				b8[i] = byte(v)
-			}
-			h.Write(b8)
-			for _, s := range lay.wxs {
-				writeF64(s)
-			}
-			for _, s := range lay.whs {
-				writeF64(s)
-			}
-		}
-	}
-	hashLayers(q.enc)
-	hashLayers(q.dec)
-	return h.Sum64()
-}
-
-// Fingerprint returns the pinned hash of the quantized weights.
-func (q *RNNInt8) Fingerprint() uint64 { return q.fp }
-
-// WeightBytes returns the int8 weight footprint in bytes (the matrices
-// only — the quantity the 8× compression claim is about).
-func (q *RNNInt8) WeightBytes() int {
-	n := 0
-	for _, lay := range q.enc {
-		n += len(lay.wx) + len(lay.wh)
-	}
-	for _, lay := range q.dec {
-		n += len(lay.wx) + len(lay.wh)
-	}
-	return n
-}
-
-// stepLayerInt8 mirrors stepLayer with on-the-fly dequantization.
-func stepLayerInt8(lay *rnnLayerInt8, x, h, c, gates []float64) {
-	H := lay.hidden
-	in := lay.in
-	for r := 0; r < 4*H; r++ {
-		var accX float64
-		wxRow := lay.wx[r*in : (r+1)*in]
-		for j, xv := range x {
-			accX += float64(wxRow[j]) * xv
-		}
-		var accH float64
-		whRow := lay.wh[r*H : (r+1)*H]
-		for j, hv := range h {
-			accH += float64(whRow[j]) * hv
-		}
-		gates[r] = lay.b[r] + lay.wxs[r]*accX + lay.whs[r]*accH
-	}
-	for i := 0; i < H; i++ {
-		gates[i] = sigmoid64(gates[i])
-		gates[H+i] = sigmoid64(gates[H+i])
-		gates[2*H+i] = math.Tanh(gates[2*H+i])
-		gates[3*H+i] = sigmoid64(gates[3*H+i])
-	}
-	for i := 0; i < H; i++ {
-		cNew := gates[H+i]*c[i] + gates[i]*gates[2*H+i]
-		c[i] = cNew
-		h[i] = gates[3*H+i] * math.Tanh(cNew)
-	}
-}
-
-func (q *RNNInt8) forward(seq [][]float64, goNorm float64, s *rnnScratch) {
-	for i := range s.h {
-		s.h[i] = 0
-		s.c[i] = 0
-	}
-	H := q.hidden
-	for _, raw := range seq {
-		transformInto(q.refs, raw, s.xnorm)
-		x := s.xnorm
-		for l := range q.enc {
-			h := s.h[l*H : (l+1)*H]
-			stepLayerInt8(&q.enc[l], x, h, s.c[l*H:(l+1)*H], s.gates)
-			x = h
-		}
-	}
-	head := func() float64 {
-		top := s.h[(len(q.enc)-1)*H : len(q.enc)*H]
-		pred := q.bOut
-		for j := 0; j < H; j++ {
-			pred += q.wOut[j] * top[j]
-		}
-		return pred
-	}
-	if q.dec == nil {
-		s.preds[0] = head()
-		return
-	}
-	prevY := goNorm
-	for t := 0; t < q.outLen; t++ {
-		s.prevY[0] = prevY
-		x := s.prevY[:]
-		for l := range q.dec {
-			h := s.h[l*H : (l+1)*H]
-			stepLayerInt8(&q.dec[l], x, h, s.c[l*H:(l+1)*H], s.gates)
-			x = h
-		}
-		pred := head()
-		s.preds[t] = pred
-		prevY = pred
-	}
-}
-
-func (q *RNNInt8) checkSeq(seq [][]float64) error {
-	if len(seq) == 0 {
-		return errors.New("compiled: empty input sequence")
-	}
-	for i, step := range seq {
-		if len(step) != q.inDim {
-			return fmt.Errorf("compiled: sequence step %d has dim %d, want %d", i, len(step), q.inDim)
-		}
-	}
-	return nil
-}
-
-// Predict returns the de-normalised prediction horizon.
-func (q *RNNInt8) Predict(seq [][]float64) ([]float64, error) {
-	if err := q.checkSeq(seq); err != nil {
-		return nil, err
-	}
-	s := q.pool.Get().(*rnnScratch)
-	q.forward(seq, 0, s)
-	out := make([]float64, q.outLen)
-	for i, p := range s.preds {
-		out[i] = p*q.yStd + q.yMean
-	}
-	q.pool.Put(s)
-	return out, nil
-}
-
-// PredictNext returns the next slot's throughput, zero-alloc in steady
-// state.
-func (q *RNNInt8) PredictNext(seq [][]float64) (float64, error) {
-	if err := q.checkSeq(seq); err != nil {
-		return 0, err
-	}
-	s := q.pool.Get().(*rnnScratch)
-	q.forward(seq, 0, s)
-	next := s.preds[0]*q.yStd + q.yMean
-	q.pool.Put(s)
 	return next, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"lumos5g/internal/ml"
-	"lumos5g/internal/ml/compiled"
 	"lumos5g/internal/ml/tree"
 	"lumos5g/internal/par"
 	"lumos5g/internal/rng"
@@ -22,11 +21,6 @@ type Classifier struct {
 	classes int
 	trees   [][]*tree.Tree // [round][class]
 	base    []float64      // per-class prior log-odds
-	nFeat   int
-	// comp holds one compiled ensemble per class (that class's trees in
-	// round order, seeded with its prior log-odds) — the serving kernel
-	// behind ScoresBatch/PredictBatch, bit-identical to Scores.
-	comp []*compiled.Ensemble
 }
 
 // NewClassifier creates an unfitted classifier for the given class count.
@@ -54,7 +48,6 @@ func (c *Classifier) FitLabels(X [][]float64, labels []int) error {
 	cfg := c.cfg
 	n := len(X)
 	K := c.classes
-	nFeat := len(X[0])
 
 	// Priors.
 	counts := make([]float64, K)
@@ -122,30 +115,8 @@ func (c *Classifier) FitLabels(X [][]float64, labels []int) error {
 		}
 		trees = append(trees, roundTrees)
 	}
-	// Compile one per-class kernel: scores[k] accumulates base[k] +
-	// lr*tree_{round,k} in round order — the exact float sequence Scores
-	// produces for element k.
-	comp := make([]*compiled.Ensemble, K)
-	for k := 0; k < K; k++ {
-		classTrees := make([]*tree.Tree, len(trees))
-		for round, rt := range trees {
-			classTrees[round] = rt[k]
-		}
-		ck, err := compiled.Compile(classTrees, compiled.Config{
-			NumFeatures: nFeat,
-			Init:        base[k],
-			Scale:       cfg.LearningRate,
-			Edges:       binner.Edges,
-		})
-		if err != nil {
-			return err
-		}
-		comp[k] = ck
-	}
-	c.nFeat = nFeat
 	c.base = base
 	c.trees = trees
-	c.comp = comp
 	return nil
 }
 
@@ -200,58 +171,3 @@ func (c *Classifier) Predict(x []float64) int {
 
 // NumRounds returns the number of fitted boosting rounds.
 func (c *Classifier) NumRounds() int { return len(c.trees) }
-
-// ScoresBatch returns the raw per-class additive scores for every row,
-// evaluated through the per-class compiled kernels. Row i is
-// bit-identical to Scores(X[i]).
-func (c *Classifier) ScoresBatch(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	if len(X) == 0 {
-		return out
-	}
-	if c.comp == nil {
-		for i, x := range X {
-			out[i] = c.Scores(x)
-		}
-		return out
-	}
-	cols := make([][]float64, len(c.comp))
-	w := par.Bound(par.Workers(c.cfg.Workers), len(X), batchMinRows)
-	for k, e := range c.comp {
-		cols[k] = make([]float64, len(X))
-		par.Chunks(w, len(X), func(lo, hi int) {
-			e.PredictInto(X, cols[k], lo, hi)
-		})
-	}
-	for i := range X {
-		scores := make([]float64, len(c.comp))
-		for k := range cols {
-			scores[k] = cols[k][i]
-		}
-		out[i] = scores
-	}
-	return out
-}
-
-// PredictBatch returns the most probable class label per row —
-// identical to calling Predict on each row (same argmax tie-breaks).
-func (c *Classifier) PredictBatch(X [][]float64) []int {
-	scores := c.ScoresBatch(X)
-	out := make([]int, len(X))
-	for i, s := range scores {
-		best := 0
-		for k := 1; k < len(s); k++ {
-			if s[k] > s[best] {
-				best = k
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
-// Compiled returns the per-class flattened inference kernels (nil before
-// a successful FitLabels).
-func (c *Classifier) Compiled() []*compiled.Ensemble {
-	return append([]*compiled.Ensemble(nil), c.comp...)
-}

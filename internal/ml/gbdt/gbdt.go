@@ -8,9 +8,6 @@ package gbdt
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"sort"
 
 	"lumos5g/internal/ml"
 	"lumos5g/internal/ml/compiled"
@@ -44,15 +41,6 @@ type Config struct {
 	// writes only per-index state, so the fitted model is bit-identical
 	// for every worker count.
 	Workers int
-	// Quantile switches the fit from squared loss to pinball loss at
-	// this quantile (0 < q < 1): the boosted gradient becomes
-	// q - 1{y <= pred} and the base prediction the empirical q-quantile
-	// of y, so the model estimates the conditional quantile directly.
-	// 0 (the default) keeps least-squares boosting. Pinball gradients
-	// live in [q-1, q], so total movement from the base is bounded by
-	// Estimators*LearningRate — size the round budget to the target's
-	// scale when using this mode.
-	Quantile float64
 }
 
 func (c Config) withDefaults() Config {
@@ -105,29 +93,17 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 		return err
 	}
 	cfg := m.cfg
-	q := cfg.Quantile
-	if q != 0 && (math.IsNaN(q) || q <= 0 || q >= 1) {
-		return fmt.Errorf("gbdt: Quantile must be in (0,1), got %v", q)
-	}
 	nFeat := len(X[0])
 	featGain := make([]float64, nFeat)
 	trees := make([]*tree.Tree, 0, cfg.Estimators)
 
-	// Base prediction: the target mean for squared loss, the empirical
-	// q-quantile for pinball loss (each is the constant minimiser of its
-	// loss).
-	var base float64
-	if q > 0 {
-		ys := append([]float64(nil), y...)
-		sort.Float64s(ys)
-		base = ys[int(q*float64(len(ys)-1))]
-	} else {
-		var sum float64
-		for _, v := range y {
-			sum += v
-		}
-		base = sum / float64(len(y))
+	// Base prediction: the target mean, the constant minimiser of
+	// squared loss.
+	var sum float64
+	for _, v := range y {
+		sum += v
 	}
+	base := sum / float64(len(y))
 
 	binner := tree.NewBinner(X, tree.MaxBins)
 	binned := binner.BinMatrix(X)
@@ -148,25 +124,11 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 	// them changes nothing about the floats produced.
 	workers := par.Bound(par.Workers(cfg.Workers), len(y), batchMinRows)
 	for round := 0; round < cfg.Estimators; round++ {
-		if q > 0 {
-			// Pinball-loss negative gradient: q above the current
-			// prediction, q-1 at or below it.
-			par.Chunks(workers, len(y), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if y[i] > pred[i] {
-						resid[i] = q
-					} else {
-						resid[i] = q - 1
-					}
-				}
-			})
-		} else {
-			par.Chunks(workers, len(y), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					resid[i] = y[i] - pred[i]
-				}
-			})
-		}
+		par.Chunks(workers, len(y), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				resid[i] = y[i] - pred[i]
+			}
+		})
 		rows := subsampleRows(len(y), nSub, src)
 		t, err := tree.Grow(binned, binner, resid, rows, tree.Options{
 			MaxDepth: cfg.MaxDepth,
