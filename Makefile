@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRouteKey -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQueries -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResults -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzParsePredict -fuzztime=$(FUZZTIME) ./internal/wire
 
 fmt:
 	gofmt -w ./cmd ./internal ./examples *.go

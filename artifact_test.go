@@ -53,7 +53,7 @@ func TestChainSaveLoadRoundTrip(t *testing.T) {
 	}
 	queries := []map[string]float64{nil, {"pixel_x": 1, "pixel_y": 1}}
 	for _, q := range queries {
-		if a, b := c.Predict(q), back.Predict(q); a.Mbps != b.Mbps || a.Tier != b.Tier {
+		if a, b := c.PredictInterval(q), back.PredictInterval(q); a.Mbps != b.Mbps || a.Tier != b.Tier {
 			t.Fatalf("loaded chain diverges: %+v vs %+v", a, b)
 		}
 	}

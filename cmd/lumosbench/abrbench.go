@@ -19,6 +19,7 @@ import (
 	"lumos5g/internal/load"
 	"lumos5g/internal/ml/gbdt"
 	"lumos5g/internal/sim"
+	"lumos5g/internal/wire"
 )
 
 // The -abrbench mode runs the paper's motivating use case (§2.2, §8.2)
@@ -132,15 +133,10 @@ func collectTraces(d *lumos5g.Dataset) []abrTrace {
 // one /predict/batch?intervals=1 call and returns the per-second p50
 // and p10 series the controllers will window over.
 func fetchForecasts(baseURL string, tr abrTrace) (p50, p10 []float64, err error) {
-	type row struct {
-		Lat     float64 `json:"lat"`
-		Lon     float64 `json:"lon"`
-		Speed   float64 `json:"speed"`
-		Bearing float64 `json:"bearing"`
-	}
-	rows := make([]row, len(tr.recs))
-	for i, r := range tr.recs {
-		rows[i] = row{Lat: r.Latitude, Lon: r.Longitude, Speed: r.SpeedKmh, Bearing: r.CompassDeg}
+	rows := make([]wire.Query, len(tr.recs))
+	for i := range tr.recs {
+		r := &tr.recs[i]
+		rows[i] = wire.Query{Lat: r.Latitude, Lon: r.Longitude, Speed: &r.SpeedKmh, Bearing: &r.CompassDeg}
 	}
 	body, err := json.Marshal(rows)
 	if err != nil {

@@ -25,10 +25,10 @@ import (
 // present, finite, and inside their physical ranges
 // (features.ValidRange), and the response records which tier served it.
 //
-// Predict never fails for a well-formed query (any map, including nil):
-// the last resort forecasts from the query's own past-throughput
-// features when usable (the ABR harmonic-mean estimator the paper
-// benchmarks as HM) and otherwise from the training-set prior.
+// PredictInterval never fails for a well-formed query (any map,
+// including nil): the last resort forecasts from the query's own
+// past-throughput features when usable (the ABR harmonic-mean estimator
+// the paper benchmarks as HM) and otherwise from the training-set prior.
 //
 // A FallbackChain is safe for concurrent use by multiple goroutines.
 type FallbackChain struct {
@@ -97,9 +97,9 @@ type ChainPrediction struct {
 	// answers and rows: it must not be modified.
 	Missing []string
 	// P10 and P90 bound the nominal 80% prediction band around Mbps
-	// (which is the p50 of the triple). They are filled only by
-	// PredictInterval / PredictIntervalBatch and always satisfy
-	// P10 <= Mbps <= P90; both are floored at 0 like Mbps itself.
+	// (which is the p50 of the triple). Every answer carries them, and
+	// they always satisfy P10 <= Mbps <= P90; both are floored at 0 like
+	// Mbps itself.
 	P10 float64
 	P90 float64
 	// HasInterval reports that the serving tier carried conformal
@@ -262,54 +262,34 @@ func ChainFromPredictor(p *Predictor, priorMbps float64) (*FallbackChain, error)
 	return NewFallbackChain(priorMbps, p)
 }
 
-// Predict serves one query. q maps vectorised feature column names (see
-// Predictor.FeatureNames) to raw values; keys may be absent, NaN, or out
-// of range — those columns are treated as missing sensors and demote the
-// query to the first tier that is fully satisfied. Predict never fails:
-// a nil or empty query is served by the last resort.
-func (c *FallbackChain) Predict(q map[string]float64) ChainPrediction {
-	return c.predictOne(features.QueryOf(q), false)
-}
-
-// PredictInterval serves one query exactly like Predict — same tier
-// walk, same Mbps, same served-counter accounting — and additionally
-// fills the P10/P90 band from the serving tier's conformal calibration
-// (degenerate when the tier is uncalibrated). The triple always
-// satisfies P10 <= Mbps <= P90.
+// PredictInterval serves one query. q maps vectorised feature column
+// names (see Predictor.FeatureNames) to raw values; keys may be absent,
+// NaN, or out of range — those columns are treated as missing sensors
+// and demote the query to the first tier that is fully satisfied. It
+// never fails: a nil or empty query is served by the last resort. The
+// answer carries the serving tier's P10/P90 band from its conformal
+// calibration (degenerate when the tier is uncalibrated); the triple
+// always satisfies P10 <= Mbps <= P90.
 func (c *FallbackChain) PredictInterval(q map[string]float64) ChainPrediction {
-	return c.predictOne(features.QueryOf(q), true)
-}
-
-// PredictBatch serves many queries at once, answering exactly as if
-// Predict were called on each in order — same tier attribution, same
-// served-counter totals — but batching each tier's satisfied queries
-// through the model's vectorised fast path. Queries a tier demotes
-// (missing sensors, or a non-finite tier prediction) stay pending for
-// the next tier, mirroring the per-query demotion loop.
-func (c *FallbackChain) PredictBatch(qs []map[string]float64) []ChainPrediction {
-	return c.predictMaps(qs, false)
-}
-
-// PredictIntervalBatch serves many queries with P10/P90 bands attached.
-// Element i equals PredictInterval(qs[i]) exactly — same tier walk,
-// same floats, same served-counter totals.
-func (c *FallbackChain) PredictIntervalBatch(qs []map[string]float64) []ChainPrediction {
-	return c.predictMaps(qs, true)
-}
-
-func (c *FallbackChain) predictOne(q features.Query, withIval bool) ChainPrediction {
 	var out [1]ChainPrediction
-	c.PredictQueries([]features.Query{q}, out[:], withIval)
+	c.PredictQueries([]features.Query{features.QueryOf(q)}, out[:])
 	return out[0]
 }
 
-func (c *FallbackChain) predictMaps(qs []map[string]float64, withIval bool) []ChainPrediction {
+// PredictIntervalBatch serves many queries at once, answering exactly
+// as if PredictInterval were called on each in order — same tier
+// attribution, same floats, same served-counter totals — but batching
+// each tier's satisfied queries through the model's vectorised fast
+// path. Queries a tier demotes (missing sensors, or a non-finite tier
+// prediction) stay pending for the next tier, mirroring the per-query
+// demotion loop.
+func (c *FallbackChain) PredictIntervalBatch(qs []map[string]float64) []ChainPrediction {
 	typed := make([]features.Query, len(qs))
 	for i, q := range qs {
 		typed[i] = features.QueryOf(q)
 	}
 	out := make([]ChainPrediction, len(qs))
-	c.PredictQueries(typed, out, withIval)
+	c.PredictQueries(typed, out)
 	return out
 }
 
@@ -330,13 +310,13 @@ func fillInterval(cp *ChainPrediction, off *ml.ConformalOffsets) {
 
 // PredictQueries is the chain's one serving core, over typed rows: it
 // answers qs[i] into out[i] (len(out) must equal len(qs)) exactly as
-// Predict — or PredictInterval when intervals is set — answers the
-// name-keyed form of the same query. Each tier takes the pending rows
-// whose validity covers its columns and runs them through its model as
-// one slab of feature rows; rows it cannot serve (missing columns, or a
-// non-finite prediction) stay pending for the next tier, and whatever no
-// tier serves goes to the last resort.
-func (c *FallbackChain) PredictQueries(qs []features.Query, out []ChainPrediction, intervals bool) {
+// PredictInterval answers the name-keyed form of the same query, band
+// included. Each tier takes the pending rows whose validity covers its
+// columns and runs them through its model as one slab of feature rows;
+// rows it cannot serve (missing columns, or a non-finite prediction)
+// stay pending for the next tier, and whatever no tier serves goes to
+// the last resort.
+func (c *FallbackChain) PredictQueries(qs []features.Query, out []ChainPrediction) {
 	if len(out) != len(qs) {
 		panic(fmt.Sprintf("lumos5g: PredictQueries out has %d slots for %d queries", len(out), len(qs)))
 	}
@@ -403,9 +383,7 @@ func (c *FallbackChain) PredictQueries(qs []features.Query, out []ChainPredictio
 			if ti > 0 {
 				cp.Missing = c.missingFor(qs[qi].Valid())
 			}
-			if intervals {
-				fillInterval(&cp, p.ival)
-			}
+			fillInterval(&cp, p.ival)
 			out[qi] = cp
 		}
 		c.served[ti].Add(uint64(served))
@@ -432,9 +410,7 @@ func (c *FallbackChain) PredictQueries(qs []features.Query, out []ChainPredictio
 		if last > 0 {
 			cp.Missing = c.missingFor(q.Valid())
 		}
-		if intervals {
-			fillInterval(&cp, c.hmOff)
-		}
+		fillInterval(&cp, c.hmOff)
 		out[qi] = cp
 	}
 	c.served[last].Add(uint64(len(pending)))

@@ -39,11 +39,11 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	base := c.ServedCounts()
 	want := make([]ChainPrediction, len(qs))
 	for i, q := range qs {
-		want[i] = c.Predict(q)
+		want[i] = c.PredictInterval(q)
 	}
 	afterSerial := c.ServedCounts()
 
-	got := c.PredictBatch(qs)
+	got := c.PredictIntervalBatch(qs)
 	afterBatch := c.ServedCounts()
 
 	for i := range want {
@@ -63,7 +63,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // TestPredictBatchEmptyAndZeroTier covers the degenerate shapes.
 func TestPredictBatchEmptyAndZeroTier(t *testing.T) {
 	c, _ := trainTestChain(t)
-	if got := c.PredictBatch(nil); len(got) != 0 {
+	if got := c.PredictIntervalBatch(nil); len(got) != 0 {
 		t.Fatalf("nil batch returned %d results", len(got))
 	}
 
@@ -71,9 +71,9 @@ func TestPredictBatchEmptyAndZeroTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := bare.PredictBatch([]map[string]float64{nil, {"past_tput_last": 200}})
+	got := bare.PredictIntervalBatch([]map[string]float64{nil, {"past_tput_last": 200}})
 	for i, p := range got {
-		if want := bare.Predict([]map[string]float64{nil, {"past_tput_last": 200}}[i]); !reflect.DeepEqual(p, want) {
+		if want := bare.PredictInterval([]map[string]float64{nil, {"past_tput_last": 200}}[i]); !reflect.DeepEqual(p, want) {
 			t.Fatalf("tierless chain query %d: batch %+v != serial %+v", i, p, want)
 		}
 	}

@@ -92,15 +92,21 @@ func TestPredictIntervalOrderingAcrossTiers(t *testing.T) {
 }
 
 // TestPredictIntervalAgreesWithPredict pins the contract that the
-// interval path is Predict plus a band: same Mbps, class, tier and
-// attribution for the same query.
+// interval path is the serving tier's point Predict plus a band: same
+// Mbps, class and attribution for the same query.
 func TestPredictIntervalAgreesWithPredict(t *testing.T) {
 	c, d := trainCalibratedTestChain(t)
 	q := fullQuery(d)
-	a := c.Predict(q)
+	tier := c.Tiers()[0]
+	names := tier.FeatureNames()
+	x := make([]float64, len(names))
+	for j, n := range names {
+		x[j] = q[n]
+	}
+	mbps := math.Max(tier.Predict(x), 0)
 	b := c.PredictInterval(q)
-	if a.Mbps != b.Mbps || a.Class != b.Class || a.Tier != b.Tier || a.Source != b.Source {
-		t.Fatalf("Predict %+v vs PredictInterval %+v", a, b)
+	if b.Mbps != mbps || b.Class != ClassOf(mbps) || b.Tier != 0 || b.Source != tier.Group().String() {
+		t.Fatalf("tier Predict %v vs PredictInterval %+v", mbps, b)
 	}
 	if b.P10 == b.P90 {
 		t.Fatal("calibrated tier served a zero-width band")

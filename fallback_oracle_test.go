@@ -45,9 +45,9 @@ func oracleUsable(q map[string]float64, name string) (float64, bool) {
 
 // oraclePredict walks the chain one query at a time over the map, with
 // every tier's one-row model path: the chain's semantics stated without
-// typed rows, masks, slabs or interning. It does not touch the served
-// counters.
-func oraclePredict(c *FallbackChain, q map[string]float64, withIval bool) ChainPrediction {
+// typed rows, masks, slabs or interning. Every answer carries the
+// serving tier's band. It does not touch the served counters.
+func oraclePredict(c *FallbackChain, q map[string]float64) ChainPrediction {
 	var firstMissing []string
 	degradedMissing := func(degraded bool) []string {
 		if !degraded || len(firstMissing) == 0 {
@@ -74,9 +74,7 @@ func oraclePredict(c *FallbackChain, q map[string]float64, withIval bool) ChainP
 		mbps = math.Max(mbps, 0)
 		cp := ChainPrediction{Mbps: mbps, Class: ClassOf(mbps), Tier: i, Source: p.group.String(),
 			Degraded: i > 0, Missing: degradedMissing(i > 0)}
-		if withIval {
-			fillInterval(&cp, p.ival)
-		}
+		fillInterval(&cp, p.ival)
 		return cp
 	}
 	mbps := c.prior
@@ -88,9 +86,7 @@ func oraclePredict(c *FallbackChain, q map[string]float64, withIval bool) ChainP
 	last := len(c.tiers)
 	cp := ChainPrediction{Mbps: mbps, Class: ClassOf(mbps), Tier: last, Source: LastResortGroup,
 		Degraded: last > 0, Missing: degradedMissing(last > 0)}
-	if withIval {
-		fillInterval(&cp, c.hmOff)
-	}
+	fillInterval(&cp, c.hmOff)
 	return cp
 }
 
@@ -149,8 +145,8 @@ func sameAnswer(a, b ChainPrediction) bool {
 }
 
 // TestChainMatchesNameKeyedOracle: on randomized map queries the typed
-// serving core answers every entry point — Predict, PredictInterval and
-// both batch forms — exactly as the name-keyed oracle walk does: same
+// serving core answers both entry points — PredictInterval and
+// PredictIntervalBatch — exactly as the name-keyed oracle walk does: same
 // tier, same Mbps and band, same Missing list.
 func TestChainMatchesNameKeyedOracle(t *testing.T) {
 	c, d := trainCalibratedTestChain(t)
@@ -174,25 +170,17 @@ func TestChainMatchesNameKeyedOracle(t *testing.T) {
 		for i := range qs {
 			qs[i] = randomQuery(src, base)
 		}
-		for _, withIval := range []bool{false, true} {
-			batch := chain.PredictBatch(qs)
-			if withIval {
-				batch = chain.PredictIntervalBatch(qs)
+		batch := chain.PredictIntervalBatch(qs)
+		for i, q := range qs {
+			want := oraclePredict(chain, q)
+			one := chain.PredictInterval(q)
+			if !sameAnswer(one, want) {
+				t.Fatalf("%s query %d %v:\n got %+v\nwant %+v", chain, i, q, one, want)
 			}
-			for i, q := range qs {
-				want := oraclePredict(chain, q, withIval)
-				one := chain.Predict(q)
-				if withIval {
-					one = chain.PredictInterval(q)
-				}
-				if !sameAnswer(one, want) {
-					t.Fatalf("%s query %d %v (intervals %v):\n got %+v\nwant %+v", chain, i, q, withIval, one, want)
-				}
-				if !sameAnswer(batch[i], want) {
-					t.Fatalf("%s batch row %d %v (intervals %v):\n got %+v\nwant %+v", chain, i, q, withIval, batch[i], want)
-				}
-				served[want.Tier]++
+			if !sameAnswer(batch[i], want) {
+				t.Fatalf("%s batch row %d %v:\n got %+v\nwant %+v", chain, i, q, batch[i], want)
 			}
+			served[want.Tier]++
 		}
 		for tier, n := range served {
 			if n == 0 && (chain == c || tier > 0) {

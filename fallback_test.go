@@ -45,7 +45,7 @@ func TestFallbackChainTierAttribution(t *testing.T) {
 	}
 
 	q := fullQuery(d)
-	p := c.Predict(q)
+	p := c.PredictInterval(q)
 	if p.Tier != 0 || p.Degraded || p.Source != "L+M+C" {
 		t.Fatalf("full query served by tier %d (%s, degraded=%v)", p.Tier, p.Source, p.Degraded)
 	}
@@ -55,7 +55,7 @@ func TestFallbackChainTierAttribution(t *testing.T) {
 
 	// Losing a modem field demotes to L+M and reports why.
 	delete(q, "ss_rsrp")
-	p = c.Predict(q)
+	p = c.PredictInterval(q)
 	if p.Tier != 1 || !p.Degraded || p.Source != "L+M" {
 		t.Fatalf("no-modem query served by tier %d (%s)", p.Tier, p.Source)
 	}
@@ -71,14 +71,14 @@ func TestFallbackChainTierAttribution(t *testing.T) {
 
 	// An out-of-range speed is as bad as a missing one: demote to L.
 	q["moving_speed"] = 9999
-	p = c.Predict(q)
+	p = c.PredictInterval(q)
 	if p.Tier != 2 || p.Source != "L" {
 		t.Fatalf("no-kinematics query served by tier %d (%s)", p.Tier, p.Source)
 	}
 
 	// Without location the last resort serves from throughput history.
 	q["pixel_x"] = math.NaN()
-	p = c.Predict(q)
+	p = c.PredictInterval(q)
 	if p.Tier != 3 || p.Source != LastResortGroup {
 		t.Fatalf("history query served by tier %d (%s)", p.Tier, p.Source)
 	}
@@ -87,7 +87,7 @@ func TestFallbackChainTierAttribution(t *testing.T) {
 	}
 
 	// And with no history at all, from the training prior.
-	p = c.Predict(nil)
+	p = c.PredictInterval(nil)
 	if p.Tier != 3 || p.Mbps != c.Prior() {
 		t.Fatalf("nil query: tier %d mbps %v prior %v", p.Tier, p.Mbps, c.Prior())
 	}
@@ -116,7 +116,7 @@ func TestFallbackChainNeverErrors(t *testing.T) {
 		fullQuery(d),
 	}
 	for i, q := range queries {
-		p := c.Predict(q)
+		p := c.PredictInterval(q)
 		if math.IsNaN(p.Mbps) || math.IsInf(p.Mbps, 0) || p.Mbps < 0 {
 			t.Fatalf("query %d: bad Mbps %v", i, p.Mbps)
 		}
@@ -139,7 +139,7 @@ func TestFallbackChainConcurrentPredict(t *testing.T) {
 				if (g+i)%2 == 0 {
 					q = nil
 				}
-				if p := c.Predict(q); math.IsNaN(p.Mbps) {
+				if p := c.PredictInterval(q); math.IsNaN(p.Mbps) {
 					t.Error("NaN prediction")
 					return
 				}
@@ -172,7 +172,7 @@ func TestTrainFallbackChainSkipsUnusableGroups(t *testing.T) {
 	if got := len(c.Tiers()); got != 1 {
 		t.Fatalf("want only the L tier, got %v", c.TierNames())
 	}
-	if p := c.Predict(nil); p.Tier != 1 || p.Mbps != c.Prior() {
+	if p := c.PredictInterval(nil); p.Tier != 1 || p.Mbps != c.Prior() {
 		t.Fatalf("last resort broken: %+v", p)
 	}
 }
@@ -193,7 +193,7 @@ func TestNewFallbackChainValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := c.Predict(map[string]float64{"x": 1}); p.Mbps != 420 || p.Degraded {
+	if p := c.PredictInterval(map[string]float64{"x": 1}); p.Mbps != 420 || p.Degraded {
 		t.Fatalf("tierless chain: %+v", p)
 	}
 }

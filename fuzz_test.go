@@ -55,7 +55,7 @@ func FuzzLoadPredictor(f *testing.F) {
 			_ = p.Predict(x)
 		}
 		if c, err := LoadChain(bytes.NewReader(raw)); err == nil {
-			_ = c.Predict(nil)
+			_ = c.PredictInterval(nil)
 		}
 	})
 }

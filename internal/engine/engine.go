@@ -44,8 +44,9 @@ type Prediction struct {
 	// modified.
 	Missing []string
 	// P10 and P90 bound the nominal 80% prediction band around Mbps
-	// (the p50). Filled only by PredictInterval/PredictIntervalBatch;
-	// always 0 <= P10 <= Mbps <= P90 there.
+	// (the p50). Every answer carries the band, always with
+	// 0 <= P10 <= Mbps <= P90; whether it goes on the wire is the
+	// transport's negotiation.
 	P10 float64
 	P90 float64
 	// HasInterval reports a calibrated band; false means the triple is
@@ -123,10 +124,12 @@ func MapMean(tm *lumos5g.ThroughputMap) float64 {
 	return sum / float64(n)
 }
 
-// queryOf assembles the fallback-chain query from one prediction
+// QueryOf assembles the fallback-chain query from one prediction
 // request. Optional parameters that are absent stay unset — the chain
-// demotes the query to a tier that does not need them.
-func queryOf(px geo.Pixel, speed, bearing *float64) features.Query {
+// demotes the query to a tier that does not need them. It is the one
+// builder of serving rows: whatever scores the chain as /predict would
+// (the ingest refit gate) builds its rows here too.
+func QueryOf(px geo.Pixel, speed, bearing *float64) features.Query {
 	var q features.Query
 	q.Set(features.ColPixelX, float64(px.X))
 	q.Set(features.ColPixelY, float64(px.Y))
@@ -142,7 +145,8 @@ func queryOf(px geo.Pixel, speed, bearing *float64) features.Query {
 }
 
 // MapOnly answers a prediction from the throughput map alone —
-// model-less degraded serving (Fig 3c's whole premise).
+// model-less degraded serving (Fig 3c's whole premise). The map carries
+// no calibration, so the band is the degenerate zero-width triple.
 func (e *Engine) MapOnly(px geo.Pixel) Prediction {
 	p := Prediction{Tier: -1, Degraded: true}
 	// A degenerate cell (non-finite mean) falls through to the map-wide
@@ -153,89 +157,50 @@ func (e *Engine) MapOnly(px geo.Pixel) Prediction {
 		p.Mbps, p.Source = e.prior, "map-mean"
 	}
 	p.Class = lumos5g.ClassOf(p.Mbps).String()
+	p.P10, p.P90 = p.Mbps, p.Mbps
 	return p
 }
 
 // fromChain converts one fallback-chain answer.
 func fromChain(p lumos5g.ChainPrediction, walk time.Duration) Prediction {
 	return Prediction{
-		Mbps:     p.Mbps,
-		Class:    p.Class.String(),
-		Source:   p.Source,
-		Tier:     p.Tier,
-		Degraded: p.Degraded,
-		Missing:  p.Missing,
-		Walk:     walk,
+		Mbps:        p.Mbps,
+		Class:       p.Class.String(),
+		Source:      p.Source,
+		Tier:        p.Tier,
+		Degraded:    p.Degraded,
+		Missing:     p.Missing,
+		P10:         p.P10,
+		P90:         p.P90,
+		HasInterval: p.HasInterval,
+		Walk:        walk,
 	}
 }
 
-// fromChainInterval converts one interval-carrying chain answer.
-func fromChainInterval(p lumos5g.ChainPrediction, walk time.Duration) Prediction {
-	out := fromChain(p, walk)
-	out.P10, out.P90, out.HasInterval = p.P10, p.P90, p.HasInterval
-	return out
-}
-
-// withDegenerateBand pins a point answer's band to the zero-width
-// triple, keeping the p10 <= p50 <= p90 contract for answers that carry
-// no calibration (map-only serving).
-func withDegenerateBand(p Prediction) Prediction {
-	p.P10, p.P90, p.HasInterval = p.Mbps, p.Mbps, false
-	return p
-}
-
-// Predict answers one query: a chain walk when a model serves, the map
-// itself otherwise. speed and bearing are optional sensors (nil =
-// absent; the chain demotes the query instead of rejecting it).
-func (e *Engine) Predict(px geo.Pixel, speed, bearing *float64) Prediction {
+// PredictInterval answers one query with its p10/p90 band: a chain walk
+// when a model serves, the map itself otherwise. speed and bearing are
+// optional sensors (nil = absent; the chain demotes the query instead
+// of rejecting it).
+func (e *Engine) PredictInterval(px geo.Pixel, speed, bearing *float64) Prediction {
 	if e.chain == nil {
 		return e.MapOnly(px)
 	}
-	p, walk := e.walkOne(px, speed, bearing, false)
-	return fromChain(p, walk)
-}
-
-// walkOne runs one query through the chain and times the walk.
-func (e *Engine) walkOne(px geo.Pixel, speed, bearing *float64, withIval bool) (lumos5g.ChainPrediction, time.Duration) {
-	qs := [1]features.Query{queryOf(px, speed, bearing)}
+	qs := [1]features.Query{QueryOf(px, speed, bearing)}
 	var out [1]lumos5g.ChainPrediction
 	start := time.Now()
-	e.chain.PredictQueries(qs[:], out[:], withIval)
-	return out[0], time.Since(start)
+	e.chain.PredictQueries(qs[:], out[:])
+	return fromChain(out[0], time.Since(start))
 }
 
-// PredictInterval answers one query like Predict and carries the
-// serving tier's p10/p90 band. Map-only answers get the degenerate
-// zero-width band — the ordering contract holds on every path.
-func (e *Engine) PredictInterval(px geo.Pixel, speed, bearing *float64) Prediction {
-	if e.chain == nil {
-		return withDegenerateBand(e.MapOnly(px))
-	}
-	p, walk := e.walkOne(px, speed, bearing, true)
-	return fromChainInterval(p, walk)
-}
-
-// PredictBatch answers many queries in one model pass. speeds and
-// bearings run parallel to pxs (nil entries = absent sensors); the
-// slices may themselves be nil when no query carries that sensor.
-func (e *Engine) PredictBatch(pxs []geo.Pixel, speeds, bearings []*float64) []Prediction {
-	return e.predictBatch(pxs, speeds, bearings, false)
-}
-
-// PredictIntervalBatch answers many queries with p10/p90 bands
-// attached; element i equals PredictInterval of query i exactly.
+// PredictIntervalBatch answers many queries in one model pass; element
+// i equals PredictInterval of query i exactly. speeds and bearings run
+// parallel to pxs (nil entries = absent sensors); the slices may
+// themselves be nil when no query carries that sensor.
 func (e *Engine) PredictIntervalBatch(pxs []geo.Pixel, speeds, bearings []*float64) []Prediction {
-	return e.predictBatch(pxs, speeds, bearings, true)
-}
-
-func (e *Engine) predictBatch(pxs []geo.Pixel, speeds, bearings []*float64, withIval bool) []Prediction {
 	out := make([]Prediction, len(pxs))
 	if e.chain == nil {
 		for i, px := range pxs {
 			out[i] = e.MapOnly(px)
-			if withIval {
-				out[i] = withDegenerateBand(out[i])
-			}
 		}
 		return out
 	}
@@ -250,15 +215,11 @@ func (e *Engine) predictBatch(pxs []geo.Pixel, speeds, bearings []*float64, with
 		if bearings != nil {
 			br = bearings[i]
 		}
-		qs[i] = queryOf(px, sp, br)
+		qs[i] = QueryOf(px, sp, br)
 	}
-	e.chain.PredictQueries(qs, cps, withIval)
+	e.chain.PredictQueries(qs, cps)
 	for i := range cps {
-		if withIval {
-			out[i] = fromChainInterval(cps[i], 0)
-		} else {
-			out[i] = fromChain(cps[i], 0)
-		}
+		out[i] = fromChain(cps[i], 0)
 	}
 	sc.qs, sc.cps = qs, cps
 	batchPool.Put(sc)

@@ -68,7 +68,7 @@ func TestMapOnlyServing(t *testing.T) {
 	if e.Chain() != nil {
 		t.Fatal("chainless engine reports a chain")
 	}
-	p := e.Predict(px, nil, nil)
+	p := e.PredictInterval(px, nil, nil)
 	if !p.Degraded || p.Tier != -1 {
 		t.Fatalf("map-only answer not marked degraded tier -1: %+v", p)
 	}
@@ -83,7 +83,7 @@ func TestMapOnlyServing(t *testing.T) {
 	}
 
 	// A pixel far outside the campaign falls back to the map-wide mean.
-	far := e.Predict(geo.Pixel{X: 1, Y: 1, Zoom: geo.DefaultZoom}, nil, nil)
+	far := e.PredictInterval(geo.Pixel{X: 1, Y: 1, Zoom: geo.DefaultZoom}, nil, nil)
 	if far.Source != "map-mean" || far.Mbps != e.MapPrior() {
 		t.Fatalf("off-map answer: %+v (prior %v)", far, e.MapPrior())
 	}
@@ -96,7 +96,7 @@ func TestChainServingAndGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	speed := 5.0
-	p := e.Predict(px, &speed, nil)
+	p := e.PredictInterval(px, &speed, nil)
 	if p.Tier < 0 {
 		t.Fatalf("chain engine answered from the map: %+v", p)
 	}
@@ -113,7 +113,7 @@ func TestChainServingAndGenerations(t *testing.T) {
 	if e.Chain() == nil {
 		t.Fatal("deriving a generation mutated the parent")
 	}
-	if q := g2.Predict(px, &speed, nil); !q.Degraded || q.Tier != -1 {
+	if q := g2.PredictInterval(px, &speed, nil); !q.Degraded || q.Tier != -1 {
 		t.Fatalf("derived map-only generation still serves the chain: %+v", q)
 	}
 }
@@ -128,12 +128,12 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	pxs := []geo.Pixel{px, {X: px.X + 10, Y: px.Y + 10, Zoom: px.Zoom}, px}
 	speeds := []*float64{&speed, nil, nil}
 	bearings := []*float64{&bearing, nil, &bearing}
-	batch := e.PredictBatch(pxs, speeds, bearings)
+	batch := e.PredictIntervalBatch(pxs, speeds, bearings)
 	if len(batch) != len(pxs) {
 		t.Fatalf("batch length %d, want %d", len(batch), len(pxs))
 	}
 	for i := range pxs {
-		single := e.Predict(pxs[i], speeds[i], bearings[i])
+		single := e.PredictInterval(pxs[i], speeds[i], bearings[i])
 		b := batch[i]
 		if b.Mbps != single.Mbps || b.Tier != single.Tier || b.Source != single.Source ||
 			b.Class != single.Class || b.Degraded != single.Degraded {
@@ -142,8 +142,8 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 
 	// Nil sensor slices mean "no query carries that sensor".
-	bare := e.PredictBatch(pxs[:1], nil, nil)
-	if want := e.Predict(pxs[0], nil, nil); bare[0].Mbps != want.Mbps || bare[0].Tier != want.Tier {
+	bare := e.PredictIntervalBatch(pxs[:1], nil, nil)
+	if want := e.PredictInterval(pxs[0], nil, nil); bare[0].Mbps != want.Mbps || bare[0].Tier != want.Tier {
 		t.Fatalf("nil-slice batch row %+v != single %+v", bare[0], want)
 	}
 }

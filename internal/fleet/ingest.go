@@ -1,14 +1,17 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
 
 	"lumos5g/internal/ingest"
+	"lumos5g/internal/wire"
 )
 
 // POST /ingest on the router: samples are forwarded to the shard that
@@ -72,8 +75,9 @@ func (rt *Router) ingestShardTry(ctx context.Context, sh *Shard, body []byte) at
 	return last
 }
 
-// handleIngest decodes once, validates nothing itself (the replica
-// gate is the single source of rejection truth — satellite rule: CSV,
+// handleIngest decodes once, under the replica's own body and batch
+// bounds (wire.MaxBodyBytes, ingest.DecodeBatch), gates nothing itself
+// (the replica gate is the single source of rejection truth: CSV,
 // replica ingest, and routed ingest reject identically), groups
 // samples by owning shard, and scatters.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -87,18 +91,20 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 16<<20)
-	var samples []ingest.Sample
-	if err := json.NewDecoder(r.Body).Decode(&samples); err != nil {
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
+	var body bytes.Buffer
+	samples, err := ingest.DecodeBatch(io.TeeReader(r.Body, &body))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// Shards are sent their samples' own bytes, not a re-encoding: a
+	// re-encoding can outgrow the body bound the replica enforces (HTML
+	// escaping, null required fields), a subset of the client's
+	// elements cannot.
+	var raws []json.RawMessage
+	if err := json.NewDecoder(&body).Decode(&raws); err != nil || len(raws) != len(samples) {
 		writeError(w, http.StatusBadRequest, "body must be a JSON array of samples")
-		return
-	}
-	if len(samples) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(samples) > ingest.MaxBatchSamples {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch too large: %d samples (max %d)", len(samples), ingest.MaxBatchSamples))
 		return
 	}
 
@@ -130,12 +136,15 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(sh *Shard, idxs []int) {
 			defer wg.Done()
-			sub := make([]ingest.Sample, len(idxs))
+			sub := []byte{'['}
 			for j, i := range idxs {
-				sub[j] = samples[i]
+				if j > 0 {
+					sub = append(sub, ',')
+				}
+				sub = append(sub, raws[i]...)
 			}
-			body, _ := json.Marshal(sub)
-			res := rt.ingestShardTry(r.Context(), sh, body)
+			sub = append(sub, ']')
+			res := rt.ingestShardTry(r.Context(), sh, sub)
 			out := shardOutcome{sh: sh, n: len(idxs)}
 			switch {
 			case res.ok():

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,6 +14,7 @@ import (
 	"lumos5g/internal/engine"
 	"lumos5g/internal/obs"
 	"lumos5g/internal/rng"
+	"lumos5g/internal/wire"
 )
 
 // Router is the fleet's front door. It owns no model and no map — it
@@ -59,14 +58,9 @@ type RouterConfig struct {
 	// BreakerCooldown (defaults 3 / 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MaxBatchRows caps one /predict/batch request (default 10000).
-	MaxBatchRows int
 	// Seed seeds the backoff jitter (0 = a fixed default; tests pass
 	// their own for reproducibility).
 	Seed uint64
-	// Client overrides the HTTP client used for replica traffic and
-	// probes (default: a pooled client with sane per-host limits).
-	Client *http.Client
 }
 
 func (c *RouterConfig) fill() {
@@ -85,25 +79,22 @@ func (c *RouterConfig) fill() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
-	if c.MaxBatchRows <= 0 {
-		c.MaxBatchRows = 10000
-	}
 	if c.Seed == 0 {
 		c.Seed = 0x10_5106 // any fixed value; jitter needs spread, not secrecy
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     30 * time.Second,
-		}}
 	}
 }
 
 // NewRouter builds a router over the given topology and starts its
-// health prober. Call Close to stop the prober.
+// health prober. The router owns its pooled HTTP client (replica
+// traffic and probes); call Close to stop the prober and release the
+// client's idle connections.
 func NewRouter(topo *Topology, cfg RouterConfig) *Router {
 	cfg.fill()
-	rt := &Router{cfg: cfg, client: cfg.Client, jit: rng.New(cfg.Seed), mux: http.NewServeMux()}
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     30 * time.Second,
+	}}
+	rt := &Router{cfg: cfg, client: client, jit: rng.New(cfg.Seed), mux: http.NewServeMux()}
 	rt.topo.Store(topo)
 	rt.m = newRouterMetrics(rt)
 	for _, sh := range topo.Shards {
@@ -126,9 +117,17 @@ func NewRouter(topo *Topology, cfg RouterConfig) *Router {
 	return rt
 }
 
-// Close stops the health prober (joining its goroutine). The router
-// keeps serving with its last-known replica states.
-func (rt *Router) Close() { rt.closeOnce.Do(rt.pb.stop) }
+// Close stops the health prober (joining its goroutine), then closes
+// the client's idle connections, so replicas shutting down next do not
+// wait out net/http's grace period for router connections that never
+// carried a request. The router keeps serving with its last-known
+// replica states, on fresh connections.
+func (rt *Router) Close() {
+	rt.closeOnce.Do(func() {
+		rt.pb.stop()
+		rt.client.CloseIdleConnections()
+	})
+}
 
 // Topology returns the current membership generation.
 func (rt *Router) Topology() *Topology { return rt.topo.Load() }
@@ -333,33 +332,24 @@ func (rt *Router) finishAttempt(c candidate, resp *http.Response, err error) att
 	return res
 }
 
-// handlePredict is the single-query route: validate, quantize, then
-// run the hedged failover loop over the candidate list until someone
-// answers. The design goal is zero client-visible failures while any
-// replica anywhere can still serve.
+// handlePredict is the single-query route: parse and validate exactly
+// as a replica does (wire.ParsePredict), quantize, then run the hedged
+// failover loop over the candidate list until someone answers. The
+// design goal is zero client-visible failures while any replica
+// anywhere can still serve.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	q := r.URL.Query()
-	lat, err := parseFloatParam(q.Get("lat"), "lat", -90, 90, true)
+	pt, err := wire.ParsePredict(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	lon, err := parseFloatParam(q.Get("lon"), "lon", -180, 180, true)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	speed, bearing, err := parseSensors(q.Get("speed"), q.Get("bearing"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := RouteKey(lat, lon, speed, bearing)
+	q := pt.Query()
+	key := RouteKey(q.Lat, q.Lon, q.Speed, q.Bearing)
 	cands := rt.predictCandidates(key)
 	if len(cands) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
@@ -457,41 +447,4 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 			}
 		}
 	}
-}
-
-// parseFloatParam parses one query parameter as a finite float in
-// [lo, hi]. required distinguishes "must be present" from optional.
-func parseFloatParam(raw, name string, lo, hi float64, required bool) (float64, error) {
-	if raw == "" {
-		if required {
-			return 0, fmt.Errorf("missing required parameter %q", name)
-		}
-		return 0, nil
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < lo || v > hi {
-		return 0, fmt.Errorf("%s must be a number in [%g, %g]", name, lo, hi)
-	}
-	return v, nil
-}
-
-// parseSensors parses the optional speed/bearing parameters with the
-// same ranges the replicas enforce, so a query the router accepts is
-// never rejected downstream.
-func parseSensors(rawSpeed, rawBearing string) (speed, bearing *float64, err error) {
-	if rawSpeed != "" {
-		v, perr := parseFloatParam(rawSpeed, "speed (km/h)", 0, 500, false)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		speed = &v
-	}
-	if rawBearing != "" {
-		v, perr := parseFloatParam(rawBearing, "bearing (degrees)", -360, 360, false)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		bearing = &v
-	}
-	return speed, bearing, nil
 }

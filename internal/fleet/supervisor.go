@@ -129,10 +129,10 @@ type supReplica struct {
 	addr string // pinned after the first bind
 
 	mu       sync.Mutex
-	disabled bool
+	disabled bool         // terminal: the supervisor exits once it sees it
 	srv      *http.Server // published server; nil while not serving
-	// edge is closed and replaced on every change of srv or disabled,
-	// so waiters block on the event instead of polling.
+	// edge is closed and replaced on every change of srv, so waiters
+	// block on the event instead of polling.
 	edge chan struct{}
 
 	jmu sync.Mutex
@@ -153,14 +153,11 @@ func (r *supReplica) curSrv() *http.Server {
 
 // disable marks the replica disabled and returns the server it was
 // serving, if any, in one critical section: once it returns, the
-// supervisor publishes nothing new until EnableReplica.
+// supervisor publishes nothing new.
 func (r *supReplica) disable() *http.Server {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.disabled {
-		r.disabled = true
-		r.signal()
-	}
+	r.disabled = true
 	return r.srv
 }
 
@@ -240,8 +237,8 @@ func StartFleet(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, cfg Fle
 // supervise is one replica's lifecycle loop: serve until the server
 // dies, then restart on the pinned port behind jittered capped backoff.
 // A replica that served for a while restarts fast (the backoff resets);
-// one that is crash-looping backs off to RestartMax. A disabled replica
-// waits for EnableReplica without holding its port.
+// one that is crash-looping backs off to RestartMax. Disabling is
+// terminal: the loop returns, and the deferred close frees the port.
 func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 	defer f.wg.Done()
 	defer func() {
@@ -252,23 +249,9 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 	delay := f.cfg.RestartBase
 	for {
 		r.mu.Lock()
-		if f.ctx.Err() != nil {
+		if f.ctx.Err() != nil || r.disabled {
 			r.mu.Unlock()
 			return
-		}
-		if r.disabled {
-			if ln != nil {
-				_ = ln.Close()
-				ln = nil
-			}
-			edge := r.edge
-			r.mu.Unlock()
-			select {
-			case <-edge:
-			case <-f.ctx.Done():
-				return
-			}
-			continue
 		}
 		if ln == nil {
 			var err error
@@ -347,8 +330,8 @@ func (f *Fleet) KillReplica(replicaID string) bool {
 	return true
 }
 
-// DisableReplica kills one replica and keeps it down (no restarts)
-// until EnableReplica. This is the chaos tests' "stays dead" switch.
+// DisableReplica kills one replica and keeps it down for good (no
+// restarts). This is the chaos tests' "stays dead" switch.
 func (f *Fleet) DisableReplica(replicaID string) bool {
 	sr := f.findReplica(replicaID)
 	if sr == nil {
@@ -357,21 +340,6 @@ func (f *Fleet) DisableReplica(replicaID string) bool {
 	if srv := sr.disable(); srv != nil {
 		_ = srv.Close()
 	}
-	return true
-}
-
-// EnableReplica lets a disabled replica restart.
-func (f *Fleet) EnableReplica(replicaID string) bool {
-	sr := f.findReplica(replicaID)
-	if sr == nil {
-		return false
-	}
-	sr.mu.Lock()
-	if sr.disabled {
-		sr.disabled = false
-		sr.signal()
-	}
-	sr.mu.Unlock()
 	return true
 }
 
@@ -395,6 +363,10 @@ func (f *Fleet) DrainShard(ctx context.Context, shardID string) bool {
 		}
 	}
 	f.router.SetTopology(next)
+	// A connection the router dialed but never sent a request on is
+	// StateNew to its replica, and Shutdown waits 5 s before treating it
+	// as idle; release them now that no new request routes here.
+	f.router.client.CloseIdleConnections()
 	var wg sync.WaitGroup
 	for _, ss := range f.shards {
 		if ss.shard.ID != shardID {
@@ -414,7 +386,8 @@ func (f *Fleet) DrainShard(ctx context.Context, shardID string) bool {
 	return true
 }
 
-// Shutdown drains the fleet: the router's prober stops, then every
+// Shutdown drains the fleet: the router closes first (prober stopped,
+// idle connections released, so no replica waits on them), then every
 // replica shuts down gracefully within ctx's budget, then the
 // supervisor loops are joined. Safe to call once.
 func (f *Fleet) Shutdown(ctx context.Context) {

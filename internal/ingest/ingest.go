@@ -17,7 +17,9 @@ package ingest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -28,8 +30,9 @@ import (
 	"lumos5g/internal/radio"
 )
 
-// MaxBatchSamples bounds one POST /ingest body, mirroring the
-// /predict/batch cap so a single request cannot monopolise the queue.
+// MaxBatchSamples bounds the samples of one POST /ingest body, so a
+// single request cannot monopolise the queue (wire.MaxBodyBytes bounds
+// its bytes).
 const MaxBatchSamples = 4096
 
 // Sample is the wire form of one per-second Table-1 measurement.
@@ -199,18 +202,9 @@ func (ing *Ingestor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ingestError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var samples []Sample
-	if err := json.NewDecoder(r.Body).Decode(&samples); err != nil {
-		ingestError(w, http.StatusBadRequest, "body must be a JSON array of samples: "+err.Error())
-		return
-	}
-	if len(samples) == 0 {
-		ingestError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(samples) > MaxBatchSamples {
-		ingestError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d samples exceeds limit %d", len(samples), MaxBatchSamples))
+	samples, err := DecodeBatch(r.Body)
+	if err != nil {
+		ingestError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ing.m.batches.Inc()
@@ -225,6 +219,24 @@ func (ing *Ingestor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeIngestJSON(w, http.StatusOK, res)
+}
+
+// DecodeBatch reads one POST /ingest body: a non-empty JSON array of at
+// most MaxBatchSamples samples. The error text is client-facing; the
+// replica's handler and the fleet router both answer it as a 400, so a
+// batch one rejects the other rejects in the same words.
+func DecodeBatch(body io.Reader) ([]Sample, error) {
+	var samples []Sample
+	if err := json.NewDecoder(body).Decode(&samples); err != nil {
+		return nil, errors.New("body must be a JSON array of samples: " + err.Error())
+	}
+	if len(samples) == 0 {
+		return nil, errors.New("empty batch")
+	}
+	if len(samples) > MaxBatchSamples {
+		return nil, fmt.Errorf("batch of %d samples exceeds limit %d", len(samples), MaxBatchSamples)
+	}
+	return samples, nil
 }
 
 // Ingest gates and enqueues a decoded batch, returning the per-sample

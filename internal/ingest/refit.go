@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"lumos5g"
+	"lumos5g/internal/engine"
+	"lumos5g/internal/features"
+	"lumos5g/internal/geo"
 )
 
 // The gated refit loop: drain the queue into the window, retrain the
@@ -284,30 +287,33 @@ func (ing *Ingestor) envelope(c *lumos5g.FallbackChain) (*lumos5g.FallbackChain,
 	return lumos5g.LoadChain(&buf)
 }
 
-// chainMAE scores a chain on holdout records through serving-shaped
-// queries — the same feature names /predict builds — so the gate
-// measures what clients will actually see, not training-matrix error.
-// NaN when the chain is nil or the holdout is empty.
+// chainMAE scores a chain on holdout records through the typed rows
+// /predict serves — engine.QueryOf over each record's own pixel, speed
+// and bearing — in one PredictQueries call, so the gate measures what
+// clients will actually see, not training-matrix error. NaN when the
+// chain is nil or the holdout is empty.
 func chainMAE(c *lumos5g.FallbackChain, holdout *lumos5g.Dataset) float64 {
-	if c == nil || len(holdout.Records) == 0 {
+	recs := holdout.Records
+	if c == nil || len(recs) == 0 {
 		return math.NaN()
 	}
-	var sum float64
-	q := make(map[string]float64, 5)
-	for i := range holdout.Records {
-		r := &holdout.Records[i]
-		clear(q)
-		q["pixel_x"] = float64(r.PixelX)
-		q["pixel_y"] = float64(r.PixelY)
+	qs := make([]features.Query, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		var speed, bearing *float64
 		if !math.IsNaN(r.SpeedKmh) {
-			q["moving_speed"] = r.SpeedKmh
+			speed = &r.SpeedKmh
 		}
 		if !math.IsNaN(r.CompassDeg) {
-			rad := r.CompassDeg * math.Pi / 180
-			q["compass_sin"] = math.Sin(rad)
-			q["compass_cos"] = math.Cos(rad)
+			bearing = &r.CompassDeg
 		}
-		sum += math.Abs(c.Predict(q).Mbps - r.ThroughputMbps)
+		qs[i] = engine.QueryOf(geo.Pixel{X: r.PixelX, Y: r.PixelY, Zoom: geo.DefaultZoom}, speed, bearing)
 	}
-	return sum / float64(len(holdout.Records))
+	out := make([]lumos5g.ChainPrediction, len(recs))
+	c.PredictQueries(qs, out)
+	var sum float64
+	for i := range out {
+		sum += math.Abs(out[i].Mbps - recs[i].ThroughputMbps)
+	}
+	return sum / float64(len(recs))
 }

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"lumos5g"
+	"lumos5g/internal/engine"
+	"lumos5g/internal/geo"
 	"lumos5g/internal/obs"
 )
 
@@ -289,4 +291,42 @@ func TestStartLoopStops(t *testing.T) {
 	stop()
 	// After stop, the loop goroutine is joined; a second stop is a no-op.
 	stop()
+}
+
+// TestChainMAEMatchesServedMAE: the refit gate scores exactly what
+// clients are served. chainMAE over a holdout equals, bit for bit, the
+// mean absolute error of the same records answered by
+// Engine.PredictIntervalBatch from their own pixels, speeds and
+// bearings — the typed rows /predict and /predict/batch build.
+func TestChainMAEMatchesServedMAE(t *testing.T) {
+	d := campaign(t)
+	chain, err := lumos5g.TrainCalibratedFallbackChain(d, lumos5g.DefaultFallbackGroups, lumos5g.ModelGDBT, lumos5g.Scale{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(&lumos5g.ThroughputMap{}, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pxs := make([]geo.Pixel, d.Len())
+	speeds := make([]*float64, d.Len())
+	bearings := make([]*float64, d.Len())
+	for i := range d.Records {
+		r := &d.Records[i]
+		pxs[i] = geo.Pixel{X: r.PixelX, Y: r.PixelY, Zoom: geo.DefaultZoom}
+		if !math.IsNaN(r.SpeedKmh) {
+			speeds[i] = &r.SpeedKmh
+		}
+		if !math.IsNaN(r.CompassDeg) {
+			bearings[i] = &r.CompassDeg
+		}
+	}
+	var sum float64
+	for i, p := range eng.PredictIntervalBatch(pxs, speeds, bearings) {
+		sum += math.Abs(p.Mbps - d.Records[i].ThroughputMbps)
+	}
+	served := sum / float64(d.Len())
+	if gate := chainMAE(chain, d); math.Float64bits(gate) != math.Float64bits(served) {
+		t.Fatalf("gate MAE %v != served MAE %v over %d records", gate, served, d.Len())
+	}
 }

@@ -39,6 +39,7 @@ import (
 	"lumos5g/internal/geo"
 	"lumos5g/internal/ingest"
 	"lumos5g/internal/rng"
+	"lumos5g/internal/wire"
 )
 
 // Route names match the serving paths they exercise.
@@ -85,8 +86,9 @@ type Config struct {
 	MixIngest  float64
 
 	// BatchSize is queries per /predict/batch request (default 32,
-	// capped at the server's 4096 bound). IngestBatch is samples per
-	// POST /ingest (default 64).
+	// capped at the server's wire.MaxBatchRows bound). IngestBatch is
+	// samples per POST /ingest (default 64, capped at
+	// ingest.MaxBatchSamples).
 	BatchSize   int
 	IngestBatch int
 
@@ -120,14 +122,14 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
 	}
-	if c.BatchSize > 4096 {
-		c.BatchSize = 4096
+	if c.BatchSize > wire.MaxBatchRows {
+		c.BatchSize = wire.MaxBatchRows
 	}
 	if c.IngestBatch <= 0 {
 		c.IngestBatch = 64
 	}
-	if c.IngestBatch > 4096 {
-		c.IngestBatch = 4096
+	if c.IngestBatch > ingest.MaxBatchSamples {
+		c.IngestBatch = ingest.MaxBatchSamples
 	}
 	if c.Client == nil {
 		perHost := c.UEs
@@ -390,19 +392,13 @@ func (u *ue) predictReq(ctx context.Context, elapsed time.Duration) (*http.Reque
 // batchReq queries a window of upcoming positions along the UE's own
 // trajectory — the "map for my surroundings" prefetch from Fig 4.
 func (u *ue) batchReq(ctx context.Context, n int, elapsed time.Duration) (*http.Request, error) {
-	type bq struct {
-		Lat     float64  `json:"lat"`
-		Lon     float64  `json:"lon"`
-		Speed   *float64 `json:"speed,omitempty"`
-		Bearing *float64 `json:"bearing,omitempty"`
-	}
 	base := u.arc0 + u.speedKmh/3.6*elapsed.Seconds()
-	qs := make([]bq, n)
+	qs := make([]wire.Query, n)
 	for i := range qs {
 		arc := base + float64(i)*5 // 5 m lookahead grid
 		ll := u.frame.ToLatLon(u.tr.At(arc))
 		sp, br := u.speedKmh, u.tr.HeadingAt(arc)
-		qs[i] = bq{Lat: ll.Lat, Lon: ll.Lon, Speed: &sp, Bearing: &br}
+		qs[i] = wire.Query{Lat: ll.Lat, Lon: ll.Lon, Speed: &sp, Bearing: &br}
 	}
 	body, err := json.Marshal(qs)
 	if err != nil {

@@ -98,7 +98,7 @@ func TestPredictBatchValidation(t *testing.T) {
 	// The batch-size cap is enforced before any prediction runs.
 	var sb strings.Builder
 	sb.WriteString("[")
-	for i := 0; i <= maxBatchQueries; i++ {
+	for i := 0; i <= wire.MaxBatchRows; i++ {
 		if i > 0 {
 			sb.WriteString(",")
 		}
@@ -170,7 +170,7 @@ func TestPredictBatchBinary(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentType {
 		t.Fatalf("binary batch Content-Type %q", ct)
 	}
-	rows, err := wire.DecodeResults(respFrame, maxBatchQueries)
+	rows, err := wire.DecodeResults(respFrame, wire.MaxBatchRows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,6 @@ type band struct {
 	has      bool
 }
 
-// degenerateBand pins the zero-width band at mbps.
-func degenerateBand(mbps float64) band { return band{p10: mbps, p90: mbps} }
-
 // bandOf extracts the band from an interval-carrying engine answer.
 func bandOf(p engine.Prediction) band {
 	return band{p10: p.P10, p90: p.P90, has: p.HasInterval}
@@ -159,25 +156,9 @@ func (c *predCache) dropEntry(key predKey, el *list.Element) {
 
 // computer produces one prediction (point form plus band) for a cache
 // miss. The hot path passes the handler's pooled predictCall so a
-// request allocates no per-call closure; tests use the computeFunc
-// adapter.
+// request allocates no per-call closure.
 type computer interface {
 	computePredict() (predictResponse, band)
-}
-
-// computeFunc adapts a plain point-form function to the computer
-// interface with the degenerate band.
-type computeFunc func() predictResponse
-
-func (f computeFunc) computePredict() (predictResponse, band) {
-	resp := f()
-	return resp, degenerateBand(resp.Mbps)
-}
-
-// getOrCompute is the closure-taking form of run, kept for tests and
-// non-hot callers (point bodies only).
-func (c *predCache) getOrCompute(key predKey, compute func() predictResponse) (predictResponse, []byte, cacheOutcome) {
-	return c.run(key, computeFunc(compute), false)
 }
 
 // run returns the response and wire body for key, computing and

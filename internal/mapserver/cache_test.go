@@ -15,6 +15,20 @@ import (
 	"lumos5g/internal/geo"
 )
 
+// computeFunc adapts a plain point-form function to the cache's
+// computer seam with the degenerate band.
+type computeFunc func() predictResponse
+
+func (f computeFunc) computePredict() (predictResponse, band) {
+	resp := f()
+	return resp, band{p10: resp.Mbps, p90: resp.Mbps}
+}
+
+// getOrCompute is the closure-taking form of run (point bodies only).
+func (c *predCache) getOrCompute(key predKey, compute func() predictResponse) (predictResponse, []byte, cacheOutcome) {
+	return c.run(key, computeFunc(compute), false)
+}
+
 func TestQuantizeKey(t *testing.T) {
 	px := geo.Pixel{X: 100, Y: 201}
 	k := quantizeKey(px, nil, nil)

@@ -272,7 +272,7 @@ func TestPredictBatchIntervals(t *testing.T) {
 	if ct := httpResp.Header.Get("Content-Type"); ct != wire.ContentTypeIntervals {
 		t.Fatalf("content type %q", ct)
 	}
-	rs, err := wire.DecodeResults(frame, maxBatchQueries)
+	rs, err := wire.DecodeResults(frame, wire.MaxBatchRows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -86,7 +83,6 @@ type Option func(*options)
 
 type options struct {
 	timeout      time.Duration
-	maxBytes     int64
 	cacheSize    int
 	metricsRoute bool
 	requestLog   io.Writer
@@ -96,11 +92,6 @@ type options struct {
 // WithRequestTimeout bounds each request's handler time (default 10 s).
 func WithRequestTimeout(d time.Duration) Option {
 	return func(o *options) { o.timeout = d }
-}
-
-// WithMaxRequestBytes caps request body size (default 1 MiB).
-func WithMaxRequestBytes(n int64) Option {
-	return func(o *options) { o.maxBytes = n }
 }
 
 // WithPredictCacheSize sets the /predict cache capacity in quantized-key
@@ -172,7 +163,7 @@ func NewWithChain(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, opts 
 	if err != nil {
 		return nil, fmt.Errorf("mapserver: %w", err)
 	}
-	o := options{timeout: 10 * time.Second, maxBytes: 1 << 20, cacheSize: defaultPredictCacheSize, metricsRoute: true}
+	o := options{timeout: 10 * time.Second, cacheSize: defaultPredictCacheSize, metricsRoute: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -200,7 +191,7 @@ func NewWithChain(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, opts 
 	// on the caller goroutine, so the recover catches both direct and
 	// timed-out panics.
 	postPaths := map[string]bool{"/predict/batch": true, "/ingest": true}
-	h := withRecovery(withTimeout(withMethodPolicy(withMaxBytes(s.mux, o.maxBytes), postPaths), o.timeout))
+	h := withRecovery(withTimeout(withMethodPolicy(withMaxBytes(s.mux), postPaths), o.timeout))
 	h = withShed(h, o.maxInFlight, shedExempt, s.m.shed.Inc)
 	s.h = s.withObs(h)
 	return s, nil
@@ -397,54 +388,6 @@ type predictResponse struct {
 	Missing  []string `json:"missing,omitempty"`
 }
 
-// checkRange rejects non-finite or out-of-range values with a
-// client-facing error message.
-func checkRange(v float64, name string, lo, hi float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < lo || v > hi {
-		return fmt.Errorf("%s must be in [%g, %g]", name, lo, hi)
-	}
-	return nil
-}
-
-// queryFloat parses a required query parameter as a finite float within
-// [lo, hi], returning a client-facing error message otherwise.
-func queryFloat(q string, name string, lo, hi float64) (float64, error) {
-	v, err := strconv.ParseFloat(q, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s must be a number", name)
-	}
-	return v, checkRange(v, name, lo, hi)
-}
-
-// queryValue scans a raw query string for key and returns its first
-// value — what url.Values.Get would return, minus the per-request
-// url.Values map (numeric parameters come back as substrings, so the
-// hot /predict path parses its query without allocating).
-func queryValue(rawQuery, key string) string {
-	for len(rawQuery) > 0 {
-		pair := rawQuery
-		if i := strings.IndexByte(rawQuery, '&'); i >= 0 {
-			pair, rawQuery = rawQuery[:i], rawQuery[i+1:]
-		} else {
-			rawQuery = ""
-		}
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 || pair[:eq] != key {
-			continue
-		}
-		v := pair[eq+1:]
-		if strings.ContainsAny(v, "%+") {
-			u, err := url.QueryUnescape(v)
-			if err != nil {
-				return "" // url.ParseQuery drops malformed pairs too
-			}
-			return u
-		}
-		return v
-	}
-	return ""
-}
-
 // engineResponse converts one engine answer to the wire form. Group
 // mirrors Source for clients of the pre-fallback API.
 func engineResponse(p engine.Prediction) predictResponse {
@@ -462,87 +405,39 @@ func engineResponse(p engine.Prediction) predictResponse {
 // predictCall is the pooled per-request scratch of handlePredict: it
 // carries the parsed query into the cache's compute seam as an
 // interface, so the hot path allocates neither a closure nor the
-// escaped *float64 optionals (pointers into the pooled struct are
+// escaped *float64 optionals (q points into the pooled pt, which is
 // already heap-stable).
 type predictCall struct {
-	s          *Server
-	eng        *engine.Engine
-	px         geo.Pixel
-	speed      float64
-	bearing    float64
-	hasSpeed   bool
-	hasBearing bool
+	s   *Server
+	eng *engine.Engine
+	px  geo.Pixel
+	pt  wire.Point
+	q   wire.Query
 }
 
 var predictCallPool = sync.Pool{New: func() any { return new(predictCall) }}
 
-func (pc *predictCall) speedPtr() *float64 {
-	if !pc.hasSpeed {
-		return nil
-	}
-	return &pc.speed
-}
-
-func (pc *predictCall) bearingPtr() *float64 {
-	if !pc.hasBearing {
-		return nil
-	}
-	return &pc.bearing
-}
-
 // computePredict implements the cache's computer seam: one model walk,
-// observed into the tier-latency histogram. The walk always carries the
-// band (same tier decision and Mbps as Predict — the interval is two
-// extra adds) so a single cache entry serves both negotiations.
+// observed into the tier-latency histogram. The walk carries the band,
+// so a single cache entry serves both negotiations.
 func (pc *predictCall) computePredict() (predictResponse, band) {
-	p := pc.eng.PredictInterval(pc.px, pc.speedPtr(), pc.bearingPtr())
+	p := pc.eng.PredictInterval(pc.px, pc.q.Speed, pc.q.Bearing)
 	pc.s.m.tierLatency.With(p.Source).Observe(p.Walk.Seconds())
 	return engineResponse(p), bandOf(p)
 }
 
-// wantIntervals reports whether the raw query negotiated the interval
-// wire form (?intervals=1 or ?intervals=true).
-func wantIntervals(rawQuery string) bool {
-	v := queryValue(rawQuery, "intervals")
-	return v == "1" || v == "true"
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	rq := r.URL.RawQuery
-	lat, err := queryFloat(queryValue(rq, "lat"), "lat", -90, 90)
+	pt, err := wire.ParsePredict(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	lon, err := queryFloat(queryValue(rq, "lon"), "lon", -180, 180)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
 	pc := predictCallPool.Get().(*predictCall)
 	defer predictCallPool.Put(pc)
 	pc.s = s
-	pc.px = geo.Pixelize(geo.LatLon{Lat: lat, Lon: lon}, geo.DefaultZoom)
-	pc.hasSpeed, pc.hasBearing = false, false
-
-	// Present-but-malformed optional parameters are still client errors.
-	if raw := queryValue(rq, "speed"); raw != "" {
-		pc.speed, err = queryFloat(raw, "speed (km/h)", 0, 500)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		pc.hasSpeed = true
-	}
-	if raw := queryValue(rq, "bearing"); raw != "" {
-		pc.bearing, err = queryFloat(raw, "bearing (degrees)", -360, 360)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		pc.hasBearing = true
-	}
+	pc.pt = pt
+	pc.q = pc.pt.Query()
+	pc.px = geo.Pixelize(geo.LatLon{Lat: pt.Lat, Lon: pt.Lon}, geo.DefaultZoom)
 
 	// One read of the (engine, cache) pair: a hot swap replaces both
 	// under the write lock, so a request never mixes an old cache with a
@@ -554,10 +449,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	cache := s.cache
 	s.mu.RUnlock()
 	const route = "/predict"
-	wantIval := wantIntervals(rq)
+	wantIval := pt.Intervals
 	if pc.eng.Chain() == nil {
-		resp := engineResponse(pc.eng.MapOnly(pc.px))
-		body := marshalPredict(resp, degenerateBand(resp.Mbps), wantIval)
+		p := pc.eng.MapOnly(pc.px)
+		resp := engineResponse(p)
+		body := marshalPredict(resp, bandOf(p), wantIval)
 		if body == nil {
 			s.m.nonFinite.Inc()
 			writeError(w, http.StatusInternalServerError, "prediction is not finite")
@@ -581,7 +477,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSONBytes(w, http.StatusOK, body)
 		return
 	}
-	resp, body, outcome := cache.run(quantizeKey(pc.px, pc.speedPtr(), pc.bearingPtr()), pc, wantIval)
+	resp, body, outcome := cache.run(quantizeKey(pc.px, pc.q.Speed, pc.q.Bearing), pc, wantIval)
 	if outcome == outcomeInvalid || body == nil {
 		s.m.nonFinite.Inc()
 		writeError(w, http.StatusInternalServerError, "prediction is not finite")
@@ -602,127 +498,44 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSONBytes(w, http.StatusOK, body)
 }
 
-// batchQueryJSON is one query of the POST /predict/batch request body.
-// Optional fields use pointers so "absent" (demote to a smaller tier)
-// stays distinct from zero.
-type batchQueryJSON struct {
-	Lat     float64  `json:"lat"`
-	Lon     float64  `json:"lon"`
-	Speed   *float64 `json:"speed"`
-	Bearing *float64 `json:"bearing"`
-}
-
-// maxBatchQueries bounds one /predict/batch request (the request-size
-// middleware bounds the bytes; this bounds the work).
-const maxBatchQueries = 4096
-
-// decodeBatchQueries parses the request body in whichever of the two
-// negotiated formats the Content-Type names: the binary columnar frame
-// (wire.ContentType) or the JSON array default. Both decode to
-// wire.Query rows.
-func decodeBatchQueries(r *http.Request) ([]wire.Query, string) {
-	if r.Header.Get("Content-Type") == wire.ContentType {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			return nil, "unreadable request body"
-		}
-		qs, err := wire.DecodeQueries(body, maxBatchQueries)
-		if err != nil {
-			return nil, err.Error()
-		}
-		return qs, ""
-	}
-	var jq []batchQueryJSON
-	if err := json.NewDecoder(r.Body).Decode(&jq); err != nil {
-		return nil, "body must be a JSON array of {lat, lon[, speed][, bearing]} queries"
-	}
-	qs := make([]wire.Query, len(jq))
-	for i, q := range jq {
-		qs[i] = wire.Query{Lat: q.Lat, Lon: q.Lon, Speed: q.Speed, Bearing: q.Bearing}
-	}
-	return qs, ""
-}
-
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	queries, decodeErr := decodeBatchQueries(r)
-	if decodeErr != "" {
-		writeError(w, http.StatusBadRequest, decodeErr)
+	queries, err := wire.DecodeBatch(r.Header.Get("Content-Type"), r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(queries) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds the %d-query limit", len(queries), maxBatchQueries))
-		return
-	}
-
 	pxs := make([]geo.Pixel, len(queries))
 	speeds := make([]*float64, len(queries))
 	bearings := make([]*float64, len(queries))
-	for i := range queries {
-		bq := &queries[i]
-		if err := checkRange(bq.Lat, "lat", -90, 90); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %s", i, err))
-			return
-		}
-		if err := checkRange(bq.Lon, "lon", -180, 180); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %s", i, err))
-			return
-		}
-		if bq.Speed != nil {
-			if err := checkRange(*bq.Speed, "speed (km/h)", 0, 500); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %s", i, err))
-				return
-			}
-		}
-		if bq.Bearing != nil {
-			if err := checkRange(*bq.Bearing, "bearing (degrees)", -360, 360); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %s", i, err))
-				return
-			}
-		}
-		pxs[i] = geo.Pixelize(geo.LatLon{Lat: bq.Lat, Lon: bq.Lon}, geo.DefaultZoom)
-		speeds[i], bearings[i] = bq.Speed, bq.Bearing
+	for i, q := range queries {
+		pxs[i] = geo.Pixelize(geo.LatLon{Lat: q.Lat, Lon: q.Lon}, geo.DefaultZoom)
+		speeds[i], bearings[i] = q.Speed, q.Bearing
 	}
-
-	// The response format is chosen by Accept plus the intervals query
-	// parameter — independent of the request format, so a binary sender
-	// can still read JSON. Binary needs an exact Accept match on one of
-	// the two frame content types; an interval Accept (or ?intervals=1)
-	// selects the interval columns / JSON fields.
-	accept := r.Header.Get("Accept")
-	binary := accept == wire.ContentType || accept == wire.ContentTypeIntervals
-	wantIval := accept == wire.ContentTypeIntervals || wantIntervals(r.URL.RawQuery)
-	eng := s.Engine()
-	var preds []engine.Prediction
-	if wantIval {
-		preds = eng.PredictIntervalBatch(pxs, speeds, bearings)
-	} else {
-		preds = eng.PredictBatch(pxs, speeds, bearings)
-	}
-	s.finishBatch(w, preds, binary, wantIval)
+	preds := s.Engine().PredictIntervalBatch(pxs, speeds, bearings)
+	s.finishBatch(w, preds, wire.Negotiate(r.Header.Get("Accept"), r.URL.RawQuery))
 }
 
-// finishBatch validates and publishes one batch answer. Per-query tier
-// counters are incremented only once the whole batch is known to be
-// servable, so counters never include predictions that were never sent.
-func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, binary, wantIval bool) {
+// finishBatch validates and publishes one batch answer in the
+// negotiated form. Per-query tier counters are incremented only once the
+// whole batch is known to be servable, so counters never include
+// predictions that were never sent. A point answer never renders the
+// band, so only its mbps must be finite.
+func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, form wire.Form) {
 	for i := range preds {
-		if !preds[i].Finite() {
+		p := &preds[i]
+		if math.IsNaN(p.Mbps) || math.IsInf(p.Mbps, 0) || form.Intervals && !p.Finite() {
 			s.m.nonFinite.Inc()
 			writeError(w, http.StatusInternalServerError, fmt.Sprintf("query %d: prediction is not finite", i))
 			return
 		}
 	}
 	s.countServed(preds)
-	if binary {
+	if form.Binary {
 		rs := make([]wire.Result, len(preds))
 		for i := range preds {
 			p := &preds[i]
@@ -739,19 +552,15 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 			}
 		}
 		bufp := batchBufPool.Get().(*[]byte)
-		var b []byte
-		var err error
-		ct := wireCT
-		if wantIval {
-			b, err = wire.AppendResultsIntervals((*bufp)[:0], rs)
-			ct = wireIvalCT
-		} else {
-			b, err = wire.AppendResults((*bufp)[:0], rs)
-		}
+		b, err := form.AppendFrame((*bufp)[:0], rs)
 		if err != nil {
 			batchBufPool.Put(bufp)
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
+		}
+		ct := wireCT
+		if form.Intervals {
+			ct = wireIvalCT
 		}
 		w.Header()["Content-Type"] = ct
 		w.WriteHeader(http.StatusOK)
@@ -768,7 +577,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendPredict(b, engineResponse(preds[i]), bandOf(preds[i]), wantIval)
+		b = appendPredict(b, engineResponse(preds[i]), bandOf(preds[i]), form.Intervals)
 	}
 	b = append(b, ']', '\n')
 	writeJSONBytes(w, http.StatusOK, b)

@@ -177,7 +177,7 @@ func TestModelDownloadRoundTrip(t *testing.T) {
 	if len(tiers) != 1 || tiers[0].Group() != lumos5g.GroupLM {
 		t.Fatalf("downloaded chain shape %s", chain)
 	}
-	if p := chain.Predict(nil); p.Mbps < 0 || p.Mbps > 1e5 {
+	if p := chain.PredictInterval(nil); p.Mbps < 0 || p.Mbps > 1e5 {
 		t.Fatalf("downloaded model predicts nonsense: %+v", p)
 	}
 }

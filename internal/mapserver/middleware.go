@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lumos5g/internal/wire"
 )
 
 // Hardening middleware for the map service: the serving path must stay
@@ -177,18 +179,15 @@ func withShed(next http.Handler, limit int, exempt map[string]bool, onShed func(
 	})
 }
 
-// withMaxBytes caps request bodies so a misbehaving client cannot stream
-// an unbounded payload at a read-only service.
-func withMaxBytes(next http.Handler, n int64) http.Handler {
-	if n <= 0 {
-		return next
-	}
+// withMaxBytes caps request bodies at the API's wire.MaxBodyBytes so a
+// misbehaving client cannot stream an unbounded payload at the service.
+func withMaxBytes(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// GET/HEAD bodies are never read by any handler, so skip the
 		// per-request MaxBytesReader wrapper on those methods (it is one
 		// allocation on the hot /predict path for a body nobody touches).
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			r.Body = http.MaxBytesReader(w, r.Body, n)
+			r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 		}
 		next.ServeHTTP(w, r)
 	})

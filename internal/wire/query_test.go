@@ -1,0 +1,150 @@
+package wire
+
+import (
+	"math"
+	"net/url"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// apiKeys are the query-string keys the prediction API reads.
+var apiKeys = []string{"lat", "lon", "speed", "bearing", "intervals"}
+
+// ruleValue states queryValue's documented semantics over net/url's own
+// unescaping: the first key=value pair whose raw key is key decides,
+// and a malformed escape reads "".
+func ruleValue(raw, key string) string {
+	for _, pair := range strings.Split(raw, "&") {
+		k, v, ok := strings.Cut(pair, "=")
+		if !ok || k != key {
+			continue
+		}
+		u, err := url.QueryUnescape(v)
+		if err != nil {
+			return ""
+		}
+		return u
+	}
+	return ""
+}
+
+// ruleApplies reports whether raw has a pair on which queryValue's
+// stated rules part from net/url for key: an escaped key that unescapes
+// to key, or a pair with key's raw name that has no '=', contains ';'
+// or carries a malformed escape.
+func ruleApplies(raw, key string) bool {
+	for _, pair := range strings.Split(raw, "&") {
+		k, v, hasEq := strings.Cut(pair, "=")
+		if uk, err := url.QueryUnescape(k); err == nil && uk == key && k != key {
+			return true
+		}
+		if k != key {
+			continue
+		}
+		if _, err := url.QueryUnescape(v); !hasEq || err != nil || strings.Contains(pair, ";") {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzParsePredict: the GET /predict parser never panics, every query
+// it accepts satisfies Query.Validate and carries exactly the values
+// the scanner read, and for each key the API reads the scanner agrees
+// with the first value net/url parses — except where one of its stated
+// rules applies, and there it follows the rule.
+func FuzzParsePredict(f *testing.F) {
+	for _, s := range []string{
+		"lat=44.8838&lon=-93.2100&speed=4.5&bearing=10",
+		"lat=44.8838&lon=-93.2100&speed=4.5&bearing=10&intervals=1",
+		"lat=44.8838&lon=-93.2100&speed=4.5&bearing=10&intervals=true",
+		"lat=44.88383000&lon=-93.21000000&speed=4&bearing=10",
+		"lat=45&lon=7",
+		"lat=0&lon=0",
+		"lat=999&lon=0",
+		"lat=abc&lon=1",
+		"lat=44.88&lon=-93.21&speed=abc",
+		"lat=44.88&lon=-93.21&bearing=999",
+		"",
+		"lat=4%2E5&lon=1e1&speed=+4",
+		"l%61t=1&lon=2",
+		"lat=1;2&lon=3",
+		"lat=%zz&lat=5&lon=0",
+		"lat&lat=5&lon=0",
+		"lat=NaN&lon=Inf",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		std, _ := url.ParseQuery(raw)
+		for _, key := range apiKeys {
+			got := queryValue(raw, key)
+			if want := ruleValue(raw, key); got != want {
+				t.Fatalf("%q: scanner reads %s=%q, its rules say %q", raw, key, got, want)
+			}
+			if !ruleApplies(raw, key) && got != std.Get(key) {
+				t.Fatalf("%q: scanner reads %s=%q, net/url %q", raw, key, got, std.Get(key))
+			}
+		}
+		p, err := ParsePredict(raw)
+		if err != nil {
+			return
+		}
+		if verr := p.Query().Validate(); verr != nil {
+			t.Fatalf("%q: accepted a query Validate rejects: %v", raw, verr)
+		}
+		same := func(key string, v float64, has bool) {
+			s := queryValue(raw, key)
+			if has != (s != "") {
+				t.Fatalf("%q: %s present %v, scanner read %q", raw, key, has, s)
+			}
+			if w, err := strconv.ParseFloat(s, 64); has && (err != nil || math.Float64bits(w) != math.Float64bits(v)) {
+				t.Fatalf("%q: %s = %v, scanner read %q", raw, key, v, s)
+			}
+		}
+		same("lat", p.Lat, true)
+		same("lon", p.Lon, true)
+		same("speed", p.Speed, p.HasSpeed)
+		same("bearing", p.Bearing, p.HasBearing)
+		if iv := queryValue(raw, "intervals"); p.Intervals != (iv == "1" || iv == "true") {
+			t.Fatalf("%q: intervals %v, scanner read %q", raw, p.Intervals, iv)
+		}
+	})
+}
+
+// TestParsePredictAllocs pins the hot path: parsing a well-formed
+// /predict query allocates nothing.
+func TestParsePredictAllocs(t *testing.T) {
+	const raw = "lat=44.8838&lon=-93.2100&speed=4.5&bearing=10&intervals=1"
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParsePredict(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ParsePredict allocates %v times per query", n)
+	}
+}
+
+// TestNegotiate states the one negotiation rule cell by cell.
+func TestNegotiate(t *testing.T) {
+	for _, tc := range []struct {
+		accept, query string
+		want          Form
+		ct            string
+	}{
+		{"", "", Form{}, ContentType},
+		{"", "intervals=1", Form{Intervals: true}, ContentTypeIntervals},
+		{"application/json", "intervals=true", Form{Intervals: true}, ContentTypeIntervals},
+		{ContentType, "", Form{Binary: true}, ContentType},
+		{ContentType, "intervals=1", Form{Binary: true, Intervals: true}, ContentTypeIntervals},
+		{ContentType, "intervals=0", Form{Binary: true}, ContentType},
+		{ContentTypeIntervals, "", Form{Binary: true, Intervals: true}, ContentTypeIntervals},
+		{ContentType + ", " + ContentTypeIntervals, "", Form{}, ContentType},
+	} {
+		got := Negotiate(tc.accept, tc.query)
+		if got != tc.want || got.ContentType() != tc.ct {
+			t.Fatalf("Negotiate(%q, %q) = %+v (%s), want %+v (%s)", tc.accept, tc.query, got, got.ContentType(), tc.want, tc.ct)
+		}
+	}
+}

@@ -1,6 +1,8 @@
-// Package wire implements the compact columnar binary encoding of the
-// batch prediction API — the allocation- and bandwidth-lean alternative
-// the server and the fleet router negotiate next to the JSON default.
+// Package wire is the prediction API's contract: the compact columnar
+// binary encoding of the batch API — the allocation- and bandwidth-lean
+// alternative negotiated next to the JSON default — and, in query.go,
+// the bounds, parameter ranges, request parsers and negotiation rule
+// that the server and the fleet router share.
 //
 // Frames are little-endian and fully deterministic: encoding the same
 // logical queries or results always yields the same bytes, which is
@@ -53,8 +55,9 @@ import (
 const ContentType = "application/x-lumos5g-batch"
 
 // ContentTypeIntervals is the uncertainty-carrying response
-// negotiation: a request whose Accept is exactly this string is
-// answered with a version-2 response frame that carries p10/p90
+// negotiation: a request whose Accept is exactly this string — or is
+// ContentType with ?intervals=1 (see Negotiate) — is answered with a
+// version-2 response frame under this media type, which carries p10/p90
 // columns next to the mbps (p50) column. Request frames are the same
 // either way — queries carry no intervals — so Content-Type stays
 // ContentType.
@@ -72,12 +75,14 @@ const (
 	respMagic = "L5GR"
 )
 
-// Query is one batch prediction query. Nil Speed/Bearing mean the
-// sensor reading is absent (the chain demotes to a smaller tier),
-// exactly like the JSON form's missing fields.
+// Query is one batch prediction query, in both the binary frame and
+// the JSON array of a /predict/batch body. Nil Speed/Bearing mean the
+// sensor reading is absent (the chain demotes to a smaller tier).
 type Query struct {
-	Lat, Lon       float64
-	Speed, Bearing *float64
+	Lat     float64  `json:"lat"`
+	Lon     float64  `json:"lon"`
+	Speed   *float64 `json:"speed,omitempty"`
+	Bearing *float64 `json:"bearing,omitempty"`
 }
 
 // Result is one batch prediction answer. Group is not carried — it

@@ -123,18 +123,6 @@ func TrainCalibrated(d *Dataset, g FeatureGroup, m Model, sc Scale) (*Predictor,
 	return p, nil
 }
 
-// Calibrate computes split-conformal offsets from held-out rows the
-// model was not trained on and attaches them to the predictor. X rows
-// follow FeatureNames order.
-func (p *Predictor) Calibrate(X [][]float64, ys []float64) error {
-	off, err := ml.CalibrateConformal(ml.PredictAll(p.reg, X), ys)
-	if err != nil {
-		return err
-	}
-	p.ival = &off
-	return nil
-}
-
 // SetConformalOffsets attaches pre-computed calibration offsets (the
 // artifact-load path). Non-finite offsets are rejected.
 func (p *Predictor) SetConformalOffsets(o ml.ConformalOffsets) error {
