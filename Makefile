@@ -9,7 +9,7 @@
 # `go test -race ./...` already runs every one of their packages. `make
 # fuzz` runs the parser/artifact/wire fuzz targets for a short burst — not
 # part of tier1, but run it after touching the CSV loader, the model
-# artifact codec or the binary batch frames.
+# artifact codec, the binary batch frames or the JSON request decoders.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -126,6 +126,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQueries -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResults -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzParsePredict -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/wire
 
 fmt:
 	gofmt -w ./cmd ./internal ./examples *.go

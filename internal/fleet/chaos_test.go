@@ -91,13 +91,13 @@ func predictURL(p [2]float64, withSensors bool, i int) string {
 	return u
 }
 
-// loadResult tallies one load run; wait joins the workers after the
-// stop channel closes.
+// loadResult tallies one load run; halt stops the workers and joins
+// them (safe to call more than once, so a test can defer it).
 type loadResult struct {
 	total    atomic.Int64
 	failures atomic.Int64
 	firstErr atomic.Value // string
-	wait     func()
+	halt     func()
 }
 
 func (lr *loadResult) fail(detail string) {
@@ -105,9 +105,24 @@ func (lr *loadResult) fail(detail string) {
 	lr.firstErr.CompareAndSwap(nil, detail)
 }
 
-// runLoad hammers the router's /predict with workers until stop closes.
-func runLoad(rt *Router, points [][2]float64, workers int, stop <-chan struct{}) *loadResult {
+// waitProgress blocks until the load has finished n more requests than
+// when it was called.
+func (lr *loadResult) waitProgress(t *testing.T, n int64) {
+	t.Helper()
+	want := lr.total.Load() + n
+	deadline := time.Now().Add(10 * time.Second)
+	for lr.total.Load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("load stalled at %d requests, waiting for %d", lr.total.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// runLoad hammers the router's /predict with workers until halted.
+func runLoad(rt *Router, points [][2]float64, workers int) *loadResult {
 	lr := &loadResult{}
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -130,7 +145,10 @@ func runLoad(rt *Router, points [][2]float64, workers int, stop <-chan struct{})
 			}
 		}(w)
 	}
-	lr.wait = wg.Wait
+	lr.halt = sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
 	return lr
 }
 
@@ -143,20 +161,33 @@ func TestChaosKillOneReplicaPerShard(t *testing.T) {
 	f := startTestFleet(t, testFleetConfig())
 	_, _, points := fixture(t)
 
-	stop := make(chan struct{})
-	lr := runLoad(f.Router(), points, 8, stop)
+	lr := runLoad(f.Router(), points, 8)
+	defer lr.halt()
+	lr.waitProgress(t, 50)
 
-	time.Sleep(300 * time.Millisecond)
-	for i, sh := range f.Topology().Shards {
-		victim := sh.Replicas[i%len(sh.Replicas)].ID
-		if !f.KillReplica(victim) {
-			t.Errorf("no such replica %s", victim)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	victims := make([]*supReplica, len(f.shards))
+	killed := make([]*http.Server, len(f.shards))
+	for i, ss := range f.shards {
+		victims[i] = ss.reps[i%len(ss.reps)]
+		if killed[i] = victims[i].curSrv(); killed[i] == nil {
+			t.Fatalf("replica %s not serving before the kill", victims[i].rep.ID)
+		}
+		if !f.KillReplica(victims[i].rep.ID) {
+			t.Errorf("no such replica %s", victims[i].rep.ID)
 		}
 	}
-	// Keep the load running through the failure and the restarts.
-	time.Sleep(1200 * time.Millisecond)
-	close(stop)
-	lr.wait()
+	// Keep the load running through the failure and the restarts: each
+	// victim's supervisor must publish a new server (the restart path,
+	// behind its backoff, ran), and load must keep completing after.
+	for i, sr := range victims {
+		if err := sr.waitSrv(ctx, func(srv *http.Server) bool { return srv != nil && srv != killed[i] }); err != nil {
+			t.Fatalf("replica %s never restarted: %v", sr.rep.ID, err)
+		}
+	}
+	lr.waitProgress(t, 50)
+	lr.halt()
 
 	if n := lr.failures.Load(); n != 0 {
 		t.Fatalf("%d/%d predictions failed during replica kills; first: %v",
@@ -280,18 +311,10 @@ func TestBatchPartialAndCounterInvariant(t *testing.T) {
 		t.Fatalf("cells.json partiality wrong: partial=%v missing=%v", cells.Partial, cells.Missing)
 	}
 	tm, _, _ := fixture(t)
-	wantCells := len(tm.Cells) - len(PartitionMap(tm, shardIDs(topo))[victim.ID].Cells)
+	wantCells := len(tm.Cells) - len(PartitionMap(tm, topo)[victim.ID].Cells)
 	if len(cells.Cells) != wantCells {
 		t.Fatalf("merged cells: %d, want %d", len(cells.Cells), wantCells)
 	}
-}
-
-func shardIDs(t *Topology) []string {
-	ids := make([]string, len(t.Shards))
-	for i, sh := range t.Shards {
-		ids[i] = sh.ID
-	}
-	return ids
 }
 
 // scrapeSum fetches one replica's /metrics and sums every series whose
@@ -332,18 +355,18 @@ func TestDrainShardNo5xx(t *testing.T) {
 	f := startTestFleet(t, testFleetConfig())
 	_, _, points := fixture(t)
 
-	stop := make(chan struct{})
-	lr := runLoad(f.Router(), points, 6, stop)
+	lr := runLoad(f.Router(), points, 6)
+	defer lr.halt()
+	lr.waitProgress(t, 50)
 
-	time.Sleep(200 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	if !f.DrainShard(ctx, "s1") {
 		t.Error("shard s1 not found")
 	}
 	cancel()
-	time.Sleep(500 * time.Millisecond)
-	close(stop)
-	lr.wait()
+	// Load must keep completing on the two remaining shards.
+	lr.waitProgress(t, 50)
+	lr.halt()
 
 	if n := lr.failures.Load(); n != 0 {
 		t.Fatalf("%d/%d requests failed across the drain; first: %v",

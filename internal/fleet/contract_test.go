@@ -105,9 +105,11 @@ func TestFleetNegotiationMatrix(t *testing.T) {
 // replica admits. wire.MaxBatchRows rows are served whole through a
 // one-shard fleet; one row more, or an /ingest body past
 // wire.MaxBodyBytes, gets the solo server's own 400 from the router
-// instead of a 200 whose rows all failed downstream; and an /ingest
-// body inside the bound reaches the replica inside it too, even when a
-// re-encoding of its samples would not fit.
+// instead of a 200 whose rows all failed downstream; a JSON body with
+// more than whitespace after its array gets the same 400 from both,
+// while a trailing newline is still served; and an /ingest body inside
+// the bound reaches the replica inside it too, even when a re-encoding
+// of its samples would not fit.
 func TestFleetEnforcesReplicaBounds(t *testing.T) {
 	cfg := testFleetConfig()
 	cfg.Shards, cfg.Replicas = 1, 1
@@ -156,6 +158,20 @@ func TestFleetEnforcesReplicaBounds(t *testing.T) {
 		}
 	}
 	sameRejection("MaxBatchRows+1 rows", "/predict/batch", batch(wire.MaxBatchRows+1))
+
+	ingestOne, err := json.Marshal(ingestSamples(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string][]byte{"/predict/batch": batch(1), "/ingest": ingestOne} {
+		sameRejection(path+" with trailing bytes", path, append(bytes.Clone(body), " this is not JSON"...))
+		withNewline := append(bytes.Clone(body), '\n')
+		fl := serve(f.Router(), http.MethodPost, path, "application/json", "", withNewline)
+		so := serve(solo, http.MethodPost, path, "application/json", "", withNewline)
+		if fl.Code != http.StatusOK || so.Code != http.StatusOK {
+			t.Fatalf("%s with a trailing newline: fleet %d %.200s, solo %d %.200s", path, fl.Code, fl.Body, so.Code, so.Body)
+		}
+	}
 
 	src := ingestSamples(t, ingest.MaxBatchSamples)
 	samples := make([]ingest.Sample, ingest.MaxBatchSamples)

@@ -88,6 +88,15 @@ type Topology struct {
 	Shards []*Shard
 }
 
+// replicas lists every shard's replicas, shard by shard.
+func (t *Topology) replicas() []*Replica {
+	var reps []*Replica
+	for _, sh := range t.Shards {
+		reps = append(reps, sh.Replicas...)
+	}
+	return reps
+}
+
 // ShardByID returns the named shard, or nil.
 func (t *Topology) ShardByID(id string) *Shard {
 	for _, s := range t.Shards {
@@ -132,20 +141,6 @@ func cellScore(shardID string, col, row int32) uint64 {
 	return h
 }
 
-// OwnerID returns the shard ID owning cell (col, row) among ids —
-// the pure partition function, used both by the router (via RankShards)
-// and by the supervisor to slice the throughput map before any shard
-// exists. ids must be non-empty.
-func OwnerID(ids []string, col, row int32) string {
-	best, bestScore := ids[0], cellScore(ids[0], col, row)
-	for _, id := range ids[1:] {
-		if sc := cellScore(id, col, row); sc > bestScore || (sc == bestScore && id < best) {
-			best, bestScore = id, sc
-		}
-	}
-	return best
-}
-
 // RankShards orders the topology's shards by routing preference for
 // key k: rendezvous score descending, with draining shards moved to
 // the back (they answer only if every live shard has failed). The
@@ -173,7 +168,9 @@ func ranksBefore(a, b *Shard, k engine.Key) bool {
 }
 
 // Owner returns the shard owning key k — exactly RankShards(k)[0] — in
-// one pass without allocating (nil only for an empty topology).
+// one pass without allocating (nil only for an empty topology). It is
+// the fleet's one ownership rule: the router routes every query and
+// sample by it, and PartitionMap slices the map by it.
 func (t *Topology) Owner(k engine.Key) *Shard {
 	var best *Shard
 	for _, s := range t.Shards {

@@ -28,16 +28,37 @@ func mkTopo(shards, replicas int) *Topology {
 	return t
 }
 
+// refOwner is the rendezvous rule written out independently of
+// Topology.Owner, as the reference the ownership tests compare against:
+// the shard ID with the highest cellScore for the cell, ties to the
+// smaller ID. ids must be non-empty.
+func refOwner(ids []string, col, row int32) string {
+	best, bestScore := ids[0], cellScore(ids[0], col, row)
+	for _, id := range ids[1:] {
+		if sc := cellScore(id, col, row); sc > bestScore || (sc == bestScore && id < best) {
+			best, bestScore = id, sc
+		}
+	}
+	return best
+}
+
 func TestRendezvousProperties(t *testing.T) {
+	four := mkTopo(4, 1)
 	ids := []string{"s0", "s1", "s2", "s3"}
+	owner := func(topo *Topology, col, row int32) string {
+		return topo.Owner(engine.Key{Col: col, Row: row}).ID
+	}
 	// Deterministic and total: every cell has exactly one owner, stable
-	// across calls.
+	// across calls, and it is the reference rule's.
 	counts := map[string]int{}
 	for col := int32(-50); col < 50; col++ {
 		for row := int32(-50); row < 50; row++ {
-			o := OwnerID(ids, col, row)
-			if o2 := OwnerID(ids, col, row); o2 != o {
+			o := owner(four, col, row)
+			if o2 := owner(four, col, row); o2 != o {
 				t.Fatalf("owner of (%d,%d) unstable: %s vs %s", col, row, o, o2)
+			}
+			if want := refOwner(ids, col, row); o != want {
+				t.Fatalf("owner of (%d,%d) is %s, the rendezvous rule says %s", col, row, o, want)
 			}
 			counts[o]++
 		}
@@ -50,11 +71,11 @@ func TestRendezvousProperties(t *testing.T) {
 		}
 	}
 	// Minimal remap: removing s3 must move ONLY the cells s3 owned.
-	smaller := ids[:3]
+	smaller := &Topology{Shards: four.Shards[:3]}
 	for col := int32(-50); col < 50; col++ {
 		for row := int32(-50); row < 50; row++ {
-			before := OwnerID(ids, col, row)
-			after := OwnerID(smaller, col, row)
+			before := owner(four, col, row)
+			after := owner(smaller, col, row)
 			if before != "s3" && after != before {
 				t.Fatalf("cell (%d,%d) moved %s→%s though %s survived", col, row, before, after, before)
 			}
@@ -69,7 +90,7 @@ func TestRankShardsDrainingLast(t *testing.T) {
 	if len(ranked) != 3 {
 		t.Fatalf("ranked %d shards", len(ranked))
 	}
-	if ranked[0].ID != OwnerID([]string{"s0", "s1", "s2"}, 7, 11) {
+	if ranked[0].ID != refOwner([]string{"s0", "s1", "s2"}, 7, 11) {
 		t.Fatalf("rank head %s is not the rendezvous owner", ranked[0].ID)
 	}
 	// Drain the owner: it must fall to the back, and Owner() must pick
@@ -259,7 +280,7 @@ lumos_only_here 7.5
 func TestPartitionMapCoversDisjointly(t *testing.T) {
 	tm, _, _ := fixture(t)
 	ids := []string{"s0", "s1", "s2"}
-	parts := PartitionMap(tm, ids)
+	parts := PartitionMap(tm, mkTopo(len(ids), 1))
 	total := 0
 	for _, id := range ids {
 		total += len(parts[id].Cells)
@@ -269,7 +290,7 @@ func TestPartitionMapCoversDisjointly(t *testing.T) {
 	}
 	for id, part := range parts {
 		for key := range part.Cells {
-			if own := OwnerID(ids, int32(key.Col), int32(key.Row)); own != id {
+			if own := refOwner(ids, int32(key.Col), int32(key.Row)); own != id {
 				t.Fatalf("cell %v in shard %s but owned by %s", key, id, own)
 			}
 		}
@@ -304,8 +325,8 @@ func FuzzRouteKey(f *testing.F) {
 		if want := engine.Quantize(px, sp, br); k != want {
 			t.Fatalf("RouteKey %+v disagrees with engine.Quantize %+v", k, want)
 		}
-		// Exactly one live owner, consistent with the pure partition
-		// function over the live shard set.
+		// Exactly one live owner, consistent with the reference
+		// rendezvous rule over the live shard set.
 		owner := topo.Owner(k)
 		if owner == nil {
 			t.Fatal("no owner")
@@ -313,8 +334,8 @@ func FuzzRouteKey(f *testing.F) {
 		if owner.Draining() {
 			t.Fatalf("owner %s is draining with live shards available", owner.ID)
 		}
-		if want := OwnerID(liveIDs, k.Col, k.Row); owner.ID != want {
-			t.Fatalf("Owner picked %s, partition function says %s", owner.ID, want)
+		if want := refOwner(liveIDs, k.Col, k.Row); owner.ID != want {
+			t.Fatalf("Owner picked %s, the rendezvous rule says %s", owner.ID, want)
 		}
 	})
 }

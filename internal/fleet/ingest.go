@@ -2,15 +2,14 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 
+	"lumos5g/internal/engine"
 	"lumos5g/internal/ingest"
+	"lumos5g/internal/par"
 	"lumos5g/internal/wire"
 )
 
@@ -36,45 +35,6 @@ type IngestResponse struct {
 	Missing  []string       `json:"missing,omitempty"`
 }
 
-// backpressure reports an explicit queue-full answer: healthy server,
-// no room — retry a sibling, never the breaker's business.
-func (a attemptResult) backpressure() bool {
-	return a.err == nil && a.status == http.StatusTooManyRequests && a.retryAfter
-}
-
-// ingestShardTry walks one shard's replicas like shardTry, but treats
-// 429 backpressure as retryable-elsewhere instead of definitive: a
-// full queue on one replica says nothing about its siblings.
-func (rt *Router) ingestShardTry(ctx context.Context, sh *Shard, body []byte) attemptResult {
-	cands := sh.candidates()
-	if len(cands) == 0 {
-		return attemptResult{err: fmt.Errorf("shard %s has no replicas", sh.ID)}
-	}
-	delay := rt.cfg.RetryBase
-	var last attemptResult
-	for i, rep := range cands {
-		if i > 0 {
-			if !sleepCtx(ctx, rt.jitter(delay)) {
-				return last
-			}
-			if delay *= 2; delay > rt.cfg.RetryMax {
-				delay = rt.cfg.RetryMax
-			}
-		}
-		last = rt.tryPOST(ctx, candidate{shard: sh, rep: rep}, "/ingest", body)
-		if last.ok() {
-			return last
-		}
-		if last.backpressure() {
-			continue
-		}
-		if last.definitive() {
-			return last
-		}
-	}
-	return last
-}
-
 // handleIngest decodes once, under the replica's own body and batch
 // bounds (wire.MaxBodyBytes, ingest.DecodeBatch), gates nothing itself
 // (the replica gate is the single source of rejection truth: CSV,
@@ -83,19 +43,19 @@ func (rt *Router) ingestShardTry(ctx context.Context, sh *Shard, body []byte) at
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	topo := rt.Topology()
 	if topo == nil || len(topo.Shards) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
+		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	var body bytes.Buffer
 	samples, err := ingest.DecodeBatch(io.TeeReader(r.Body, &body))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Shards are sent their samples' own bytes, not a re-encoding: a
@@ -104,69 +64,47 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// elements cannot.
 	var raws []json.RawMessage
 	if err := json.NewDecoder(&body).Decode(&raws); err != nil || len(raws) != len(samples) {
-		writeError(w, http.StatusBadRequest, "body must be a JSON array of samples")
+		wire.WriteError(w, http.StatusBadRequest, "body must be a JSON array of samples")
 		return
 	}
 
-	// Group sample indices by owning shard. Samples without usable
-	// coordinates still go somewhere deterministic (the zero cell's
-	// owner) so the replica gate rejects and counts them.
-	byShard := make(map[*Shard][]int)
-	for i := range samples {
+	// Samples without usable coordinates still go somewhere
+	// deterministic (the zero cell's owner) so the replica gate rejects
+	// and counts them.
+	parts := partition(topo, len(samples), func(i int) engine.Key {
 		var lat, lon float64
 		if samples[i].Lat != nil && samples[i].Lon != nil {
 			lat, lon = *samples[i].Lat, *samples[i].Lon
 		}
-		k := RouteKey(lat, lon, nil, nil)
-		byShard[topo.Owner(k)] = append(byShard[topo.Owner(k)], i)
-	}
+		return RouteKey(lat, lon, nil, nil)
+	})
 
 	type shardOutcome struct {
-		sh  *Shard
-		n   int
 		res ingest.BatchResult
 		ok  bool
 		bp  bool // whole shard backpressured
-		why string
 	}
-	outs := make([]shardOutcome, 0, len(byShard))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for sh, idxs := range byShard {
-		wg.Add(1)
-		go func(sh *Shard, idxs []int) {
-			defer wg.Done()
-			sub := []byte{'['}
-			for j, i := range idxs {
-				if j > 0 {
-					sub = append(sub, ',')
-				}
-				sub = append(sub, raws[i]...)
+	outs := make([]shardOutcome, len(parts))
+	par.Do(len(parts), len(parts), func(k int) {
+		sub := []byte{'['}
+		for j, i := range parts[k].idxs {
+			if j > 0 {
+				sub = append(sub, ',')
 			}
-			sub = append(sub, ']')
-			res := rt.ingestShardTry(r.Context(), sh, sub)
-			out := shardOutcome{sh: sh, n: len(idxs)}
-			switch {
-			case res.ok():
-				if err := json.Unmarshal(res.body, &out.res); err == nil {
-					out.ok = true
-				} else {
-					out.why = fmt.Sprintf("shard %s: undecodable ingest result", sh.ID)
-				}
-			case res.backpressure():
-				out.bp = true
-			default:
-				out.why = shardFailureReason(sh, res)
-			}
-			mu.Lock()
-			outs = append(outs, out)
-			mu.Unlock()
-		}(sh, idxs)
-	}
-	wg.Wait()
+			sub = append(sub, raws[i]...)
+		}
+		sub = append(sub, ']')
+		res := rt.shardTry(r.Context(), parts[k].sh, call{target: "/ingest", body: sub, contentType: "application/json"})
+		switch {
+		case res.ok():
+			outs[k].ok = json.Unmarshal(res.body, &outs[k].res) == nil
+		case res.backpressure():
+			outs[k].bp = true
+		}
+	})
 
 	resp := IngestResponse{}
-	for _, out := range outs {
+	for k, out := range outs {
 		switch {
 		case out.ok:
 			resp.Accepted += out.res.Accepted
@@ -181,11 +119,11 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case out.bp:
 			// The whole shard said "no room": those samples were shed,
 			// not lost — the UE retries after Retry-After.
-			resp.Dropped += out.n
+			resp.Dropped += len(parts[k].idxs)
 		default:
-			resp.Failed += out.n
+			resp.Failed += len(parts[k].idxs)
 			resp.Partial = true
-			resp.Missing = append(resp.Missing, out.sh.ID)
+			resp.Missing = append(resp.Missing, parts[k].sh.ID)
 		}
 	}
 	sort.Strings(resp.Missing)
@@ -198,8 +136,8 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp.Dropped > 0 && resp.Accepted == 0 && resp.Rejected == 0 && resp.Failed == 0 {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		wire.WriteJSON(w, http.StatusTooManyRequests, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }

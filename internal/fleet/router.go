@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 
 	"lumos5g/internal/engine"
 	"lumos5g/internal/obs"
-	"lumos5g/internal/rng"
 	"lumos5g/internal/wire"
 )
 
@@ -30,9 +28,7 @@ type Router struct {
 
 	topo atomic.Pointer[Topology]
 	pb   *prober
-
-	jmu sync.Mutex
-	jit *rng.Source // jittered backoff; seeded for reproducible tests
+	jit  *jitter
 
 	mux *http.ServeMux
 
@@ -54,13 +50,6 @@ type RouterConfig struct {
 	RetryMax  time.Duration
 	// ProbeInterval is the health-prober poll period (default 250ms).
 	ProbeInterval time.Duration
-	// BreakerThreshold consecutive failures open a replica's circuit for
-	// BreakerCooldown (defaults 3 / 1s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Seed seeds the backoff jitter (0 = a fixed default; tests pass
-	// their own for reproducibility).
-	Seed uint64
 }
 
 func (c *RouterConfig) fill() {
@@ -79,9 +68,6 @@ func (c *RouterConfig) fill() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
-	if c.Seed == 0 {
-		c.Seed = 0x10_5106 // any fixed value; jitter needs spread, not secrecy
-	}
 }
 
 // NewRouter builds a router over the given topology and starts its
@@ -94,15 +80,10 @@ func NewRouter(topo *Topology, cfg RouterConfig) *Router {
 		MaxIdleConnsPerHost: 16,
 		IdleConnTimeout:     30 * time.Second,
 	}}
-	rt := &Router{cfg: cfg, client: client, jit: rng.New(cfg.Seed), mux: http.NewServeMux()}
+	// Any fixed seed: jitter needs spread, not secrecy.
+	rt := &Router{cfg: cfg, client: client, jit: newJitter(0x10_5106), mux: http.NewServeMux()}
 	rt.topo.Store(topo)
 	rt.m = newRouterMetrics(rt)
-	for _, sh := range topo.Shards {
-		for _, rep := range sh.Replicas {
-			rep.bk.threshold = int32(cfg.BreakerThreshold)
-			rep.bk.cooldown = cfg.BreakerCooldown
-		}
-	}
 	rt.mux.HandleFunc("/predict", rt.handlePredict)
 	rt.mux.HandleFunc("/predict/batch", rt.handleBatch)
 	rt.mux.HandleFunc("/ingest", rt.handleIngest)
@@ -136,15 +117,7 @@ func (rt *Router) Topology() *Topology { return rt.topo.Load() }
 // In-flight requests finish against the generation they started with;
 // reuse Shard/Replica pointers for surviving members so their health
 // and breaker state carry over.
-func (rt *Router) SetTopology(t *Topology) {
-	for _, sh := range t.Shards {
-		for _, rep := range sh.Replicas {
-			rep.bk.threshold = int32(rt.cfg.BreakerThreshold)
-			rep.bk.cooldown = rt.cfg.BreakerCooldown
-		}
-	}
-	rt.topo.Store(t)
-}
+func (rt *Router) SetTopology(t *Topology) { rt.topo.Store(t) }
 
 // Metrics returns the router's own registry (fleet_* instruments).
 func (rt *Router) Metrics() *obs.Registry { return rt.m.reg }
@@ -190,30 +163,6 @@ func (w *codeWriter) status() int {
 	return w.code
 }
 
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, apiError{Error: msg})
-}
-
-// jitter draws the actual backoff delay: uniform in [0.5, 1.5) × d,
-// the same spread the netem client uses, so synchronized retries from
-// many queries against one recovering replica de-correlate.
-func (rt *Router) jitter(d time.Duration) time.Duration {
-	rt.jmu.Lock()
-	f := rt.jit.Range(0.5, 1.5)
-	rt.jmu.Unlock()
-	return time.Duration(f * float64(d))
-}
-
 // candidate is one (shard, replica) routing choice.
 type candidate struct {
 	shard *Shard
@@ -239,6 +188,16 @@ func (rt *Router) predictCandidates(k engine.Key) []candidate {
 	return cands
 }
 
+// call is one replica request, sent unchanged to every candidate a
+// walk tries: a GET of target when body is nil, else a POST of body as
+// contentType. accept, when set, asks the replica for that encoding.
+type call struct {
+	target      string // path, then "?" and the raw query if there is one
+	body        []byte
+	contentType string
+	accept      string
+}
+
 // attemptResult is one replica attempt's outcome.
 type attemptResult struct {
 	cand       candidate
@@ -252,53 +211,40 @@ type attemptResult struct {
 // ok reports a servable success.
 func (a attemptResult) ok() bool { return a.err == nil && a.status == http.StatusOK }
 
+// backpressure reports an explicit queue-full answer (429 +
+// Retry-After): a healthy replica with no room, whose siblings may
+// still have some.
+func (a attemptResult) backpressure() bool {
+	return a.err == nil && a.status == http.StatusTooManyRequests && a.retryAfter
+}
+
 // definitive reports a client-error answer that every replica would
-// repeat (4xx): retrying elsewhere cannot change it, forward as-is.
+// repeat (4xx other than backpressure): retrying elsewhere cannot
+// change it, forward as-is.
 func (a attemptResult) definitive() bool {
-	return a.err == nil && a.status >= 400 && a.status < 500
+	return a.err == nil && a.status >= 400 && a.status < 500 && !a.backpressure()
 }
 
-// tryGET runs one replica attempt for a GET route, feeding the breaker
-// and (on transport failure) the replica state.
-func (rt *Router) tryGET(ctx context.Context, c candidate, path, rawQuery string) attemptResult {
+// attempt sends cl to one replica, feeding its breaker and (on
+// transport failure) its state, and counts the outcome.
+func (rt *Router) attempt(ctx context.Context, c candidate, cl call) attemptResult {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
-	url := c.rep.URL + path
-	if rawQuery != "" {
-		url += "?" + rawQuery
+	method, body := http.MethodGet, io.Reader(nil)
+	if cl.body != nil {
+		method, body = http.MethodPost, bytes.NewReader(cl.body)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, method, c.rep.URL+cl.target, body)
 	if err != nil {
 		return attemptResult{cand: c, err: err}
 	}
-	resp, err := rt.client.Do(req)
-	return rt.finishAttempt(c, resp, err)
-}
-
-// tryPOST runs one replica attempt with a JSON body.
-func (rt *Router) tryPOST(ctx context.Context, c candidate, path string, body []byte) attemptResult {
-	return rt.tryPOSTAs(ctx, c, path, body, "application/json", "")
-}
-
-// tryPOSTAs runs one replica attempt with an explicit request media
-// type and, when accept is non-empty, an Accept header asking the
-// replica for that response encoding.
-func (rt *Router) tryPOSTAs(ctx context.Context, c candidate, path string, body []byte, contentType, accept string) attemptResult {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.rep.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return attemptResult{cand: c, err: err}
+	if cl.contentType != "" {
+		req.Header.Set("Content-Type", cl.contentType)
 	}
-	req.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
+	if cl.accept != "" {
+		req.Header.Set("Accept", cl.accept)
 	}
 	resp, err := rt.client.Do(req)
-	return rt.finishAttempt(c, resp, err)
-}
-
-func (rt *Router) finishAttempt(c candidate, resp *http.Response, err error) attemptResult {
 	if err != nil {
 		// Transport failure: the replica is unreachable or stalled. Mark
 		// it down now instead of waiting a probe period; the prober
@@ -309,16 +255,17 @@ func (rt *Router) finishAttempt(c candidate, resp *http.Response, err error) att
 		return attemptResult{cand: c, err: err}
 	}
 	defer resp.Body.Close()
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if rerr != nil {
+	b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if err != nil {
 		c.rep.bk.failure()
 		rt.m.attempts.With("error").Inc()
-		return attemptResult{cand: c, err: rerr}
+		return attemptResult{cand: c, err: err}
 	}
-	res := attemptResult{cand: c, status: resp.StatusCode, body: body, header: resp.Header,
+	res := attemptResult{cand: c, status: resp.StatusCode, body: b, header: resp.Header,
 		retryAfter: resp.Header.Get("Retry-After") != ""}
 	switch {
-	case res.ok(), res.definitive():
+	case res.ok(), res.definitive(), res.backpressure():
+		// An answer, a client error or a full queue: the replica works.
 		c.rep.bk.success()
 		rt.m.attempts.With("success").Inc()
 	case res.status == http.StatusServiceUnavailable && res.retryAfter:
@@ -340,32 +287,33 @@ func (rt *Router) finishAttempt(c candidate, resp *http.Response, err error) att
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	pt, err := wire.ParsePredict(r.URL.RawQuery)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	q := pt.Query()
 	key := RouteKey(q.Lat, q.Lon, q.Speed, q.Bearing)
 	cands := rt.predictCandidates(key)
 	if len(cands) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
+		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
-	rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
+	// ParsePredict requires lat, so RawQuery is not empty.
+	rt.hedgedGET(w, r, cands, call{target: "/predict?" + r.URL.RawQuery})
 }
 
-// hedgedGET is the failover engine shared by /predict: it walks the
+// hedgedGET is the failover engine of /predict: it walks the
 // candidate list launching attempts — the next one fires early when the
 // current one stalls past HedgeDelay (hedge), immediately-ish after a
 // failure (retry, behind capped jittered backoff) — and forwards the
-// first success. First 4xx forwards too: it is the same answer
+// first success. A definitive 4xx forwards too: it is the same answer
 // everywhere. Only when every candidate has failed does the client see
 // a 503, with Retry-After when the fleet was shedding rather than dead.
-func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []candidate, path, rawQuery string) {
+func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []candidate, cl call) {
 	ctx := r.Context()
 	results := make(chan attemptResult, len(cands))
 	next, inFlight := 0, 0
@@ -376,7 +324,7 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 		c := cands[next]
 		next++
 		inFlight++
-		go func() { results <- rt.tryGET(ctx, c, path, rawQuery) }()
+		go func() { results <- rt.attempt(ctx, c, cl) }()
 		return true
 	}
 	launch()
@@ -390,13 +338,13 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 		}
 	}()
 	var retryC <-chan time.Time
-	delay := rt.cfg.RetryBase
+	bo := newBackoff(rt.jit, rt.cfg.RetryBase, rt.cfg.RetryMax)
 	sawShed := false
 
 	for {
 		select {
 		case <-ctx.Done():
-			writeError(w, http.StatusServiceUnavailable, "request cancelled")
+			wire.WriteError(w, http.StatusServiceUnavailable, "request cancelled")
 			return
 		case <-hedge.C:
 			if launch() {
@@ -412,11 +360,9 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 				if res.cand.rep != cands[0].rep {
 					rt.m.failovers.Inc()
 				}
-				w.Header().Set("Content-Type", "application/json")
 				w.Header().Set("X-Fleet-Shard", res.cand.shard.ID)
 				w.Header().Set("X-Fleet-Replica", res.cand.rep.ID)
-				w.WriteHeader(http.StatusOK)
-				_, _ = w.Write(res.body)
+				wire.WriteJSONBytes(w, http.StatusOK, res.body)
 				return
 			}
 			if res.definitive() {
@@ -432,17 +378,14 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 			}
 			if next < len(cands) {
 				if retryC == nil {
-					retryTimer = time.NewTimer(rt.jitter(delay))
+					retryTimer = time.NewTimer(bo.next())
 					retryC = retryTimer.C
-					if delay *= 2; delay > rt.cfg.RetryMax {
-						delay = rt.cfg.RetryMax
-					}
 				}
 			} else if inFlight == 0 {
 				if sawShed {
 					w.Header().Set("Retry-After", "1")
 				}
-				writeError(w, http.StatusServiceUnavailable, "no replica could serve the query")
+				wire.WriteError(w, http.StatusServiceUnavailable, "no replica could serve the query")
 				return
 			}
 		}

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"sync"
-	"time"
 
+	"lumos5g/internal/engine"
 	"lumos5g/internal/obs"
+	"lumos5g/internal/par"
 	"lumos5g/internal/wire"
 )
 
@@ -51,26 +51,24 @@ type BatchResponse struct {
 	Rows    []BatchRow `json:"rows"`
 }
 
-// shardTry walks one shard's replicas in candidate order until one
-// serves, with the same backoff discipline as the single-query path but
-// no cross-shard failover.
-func (rt *Router) shardTry(ctx context.Context, sh *Shard, attempt func(candidate) attemptResult) attemptResult {
+// shardTry walks one shard's replicas in candidate order, behind the
+// same backoff as the single-query path but with no cross-shard
+// failover, until one answers finally: a success, or a 4xx every
+// replica would repeat. A 429 with Retry-After is one replica's full
+// queue, so the walk moves on to a sibling. Every shard-scoped route
+// (/predict/batch, /cells.json, /ingest) walks this way.
+func (rt *Router) shardTry(ctx context.Context, sh *Shard, cl call) attemptResult {
 	cands := sh.candidates()
 	if len(cands) == 0 {
 		return attemptResult{err: fmt.Errorf("shard %s has no replicas", sh.ID)}
 	}
-	delay := rt.cfg.RetryBase
+	bo := newBackoff(rt.jit, rt.cfg.RetryBase, rt.cfg.RetryMax)
 	var last attemptResult
 	for i, rep := range cands {
-		if i > 0 {
-			if !sleepCtx(ctx, rt.jitter(delay)) {
-				return last
-			}
-			if delay *= 2; delay > rt.cfg.RetryMax {
-				delay = rt.cfg.RetryMax
-			}
+		if i > 0 && !bo.wait(ctx) {
+			return last
 		}
-		last = attempt(candidate{shard: sh, rep: rep})
+		last = rt.attempt(ctx, candidate{shard: sh, rep: rep}, cl)
 		if last.ok() || last.definitive() {
 			return last
 		}
@@ -78,16 +76,29 @@ func (rt *Router) shardTry(ctx context.Context, sh *Shard, attempt func(candidat
 	return last
 }
 
-// sleepCtx sleeps d unless ctx ends first; reports whether it slept out.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
+// shardPart is one shard's share of a scattered request: the indices
+// of the rows whose cells it owns, in request order.
+type shardPart struct {
+	sh   *Shard
+	idxs []int
+}
+
+// partition groups row indices [0, n) by the shard owning each row's
+// key, parts in order of their first row.
+func partition(topo *Topology, n int, key func(i int) engine.Key) []shardPart {
+	var parts []shardPart
+	for i := 0; i < n; i++ {
+		sh := topo.Owner(key(i))
+		k := 0
+		for k < len(parts) && parts[k].sh != sh {
+			k++
+		}
+		if k == len(parts) {
+			parts = append(parts, shardPart{sh: sh})
+		}
+		parts[k].idxs = append(parts[k].idxs, i)
 	}
+	return parts
 }
 
 // handleBatch scatters the batch across owning shards and gathers an
@@ -104,85 +115,63 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	topo := rt.Topology()
 	if topo == nil || len(topo.Shards) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
+		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	queries, err := wire.DecodeBatch(r.Header.Get("Content-Type"), r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	form := wire.Negotiate(r.Header.Get("Accept"), r.URL.RawQuery)
 	// Replicas are asked for the band only when the client wants it.
 	subAccept := wire.Form{Binary: true, Intervals: form.Intervals}.ContentType()
 
-	// Group row indices by owning shard (rendezvous on the cell).
-	byShard := make(map[*Shard][]int)
-	for i, q := range queries {
-		k := RouteKey(q.Lat, q.Lon, q.Speed, q.Bearing)
-		sh := topo.Owner(k)
-		byShard[sh] = append(byShard[sh], i)
-	}
-
-	// Each shard's goroutine merges its served rows straight into
-	// results and records a failure on its own part; BatchRow exists only
-	// for the JSON / partial envelope below.
-	type shardPart struct {
-		sh      *Shard
-		idxs    []int
-		failure string // non-empty when the shard could not answer
-	}
-	parts := make([]shardPart, 0, len(byShard))
-	for sh, idxs := range byShard {
-		parts = append(parts, shardPart{sh: sh, idxs: idxs})
-	}
+	parts := partition(topo, len(queries), func(i int) engine.Key {
+		return RouteKey(queries[i].Lat, queries[i].Lon, queries[i].Speed, queries[i].Bearing)
+	})
+	// Each shard's sub-request merges its served rows straight into
+	// results, or records why the shard could not answer in failures;
+	// BatchRow exists only for the JSON / partial envelope below.
 	results := make([]wire.Result, len(queries))
-	var wg sync.WaitGroup
-	for k := range parts {
-		wg.Add(1)
-		go func(part *shardPart) {
-			defer wg.Done()
-			sh, idxs := part.sh, part.idxs
-			sub := make([]wire.Query, len(idxs))
-			for j, i := range idxs {
-				sub[j] = queries[i]
+	failures := make([]string, len(parts))
+	par.Do(len(parts), len(parts), func(k int) {
+		sh, idxs := parts[k].sh, parts[k].idxs
+		sub := make([]wire.Query, len(idxs))
+		for j, i := range idxs {
+			sub[j] = queries[i]
+		}
+		res := rt.shardTry(r.Context(), sh, call{target: "/predict/batch",
+			body: wire.AppendQueries(nil, sub), contentType: wire.ContentType, accept: subAccept})
+		var served []wire.Result
+		ok := res.ok()
+		if ok {
+			var err error
+			served, err = wire.DecodeResults(res.body, len(idxs))
+			if err != nil || len(served) != len(idxs) {
+				ok = false
 			}
-			body := wire.AppendQueries(nil, sub)
-			res := rt.shardTry(r.Context(), sh, func(c candidate) attemptResult {
-				return rt.tryPOSTAs(r.Context(), c, "/predict/batch", body,
-					wire.ContentType, subAccept)
-			})
-			var served []wire.Result
-			ok := res.ok()
-			if ok {
-				var err error
-				served, err = wire.DecodeResults(res.body, len(idxs))
-				if err != nil || len(served) != len(idxs) {
-					ok = false
-				}
-			}
-			if !ok {
-				part.failure = shardFailureReason(sh, res)
-				rt.m.batchRows.With("failed").Add(uint64(len(idxs)))
-				return
-			}
-			for j, i := range idxs {
-				results[i] = served[j]
-			}
-			rt.m.batchRows.With("served").Add(uint64(len(idxs)))
-		}(&parts[k])
-	}
-	wg.Wait()
+		}
+		if !ok {
+			failures[k] = shardFailureReason(sh, res)
+			rt.m.batchRows.With("failed").Add(uint64(len(idxs)))
+			return
+		}
+		for j, i := range idxs {
+			results[i] = served[j]
+		}
+		rt.m.batchRows.With("served").Add(uint64(len(idxs)))
+	})
 
 	partial := false
-	for _, part := range parts {
-		partial = partial || part.failure != ""
+	for _, f := range failures {
+		partial = partial || f != ""
 	}
 	if partial {
 		rt.m.partials.Inc()
@@ -199,8 +188,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// the JSON envelope rather than failing the whole batch.
 	}
 	rows := make([]BatchRow, len(queries))
-	for _, part := range parts {
-		if part.failure != "" {
+	for k, part := range parts {
+		if failures[k] != "" {
 			missing := []string{"shard:" + part.sh.ID}
 			for _, i := range part.idxs {
 				rows[i] = BatchRow{
@@ -208,7 +197,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 					Degraded: true,
 					Missing:  missing,
 					Shard:    part.sh.ID,
-					Error:    part.failure,
+					Error:    failures[k],
 				}
 			}
 			continue
@@ -226,7 +215,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Partial: partial, Rows: rows})
+	wire.WriteJSON(w, http.StatusOK, BatchResponse{Partial: partial, Rows: rows})
 }
 
 func shardFailureReason(sh *Shard, res attemptResult) string {
@@ -257,51 +246,30 @@ type CellsResponse struct {
 func (rt *Router) handleCells(w http.ResponseWriter, r *http.Request) {
 	topo := rt.Topology()
 	if topo == nil || len(topo.Shards) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
+		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
-	type shardCells struct {
-		id    string
-		cells []cellJSON
-		err   error
-	}
-	out := make([]shardCells, len(topo.Shards))
-	var wg sync.WaitGroup
-	for i, sh := range topo.Shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			res := rt.shardTry(r.Context(), sh, func(c candidate) attemptResult {
-				return rt.tryGET(r.Context(), c, "/cells.json", "")
-			})
-			if !res.ok() {
-				out[i] = shardCells{id: sh.ID, err: fmt.Errorf("%s", shardFailureReason(sh, res))}
-				return
-			}
-			var cells []cellJSON
-			if err := json.Unmarshal(res.body, &cells); err != nil {
-				out[i] = shardCells{id: sh.ID, err: fmt.Errorf("shard %s: undecodable cells", sh.ID)}
-				return
-			}
-			out[i] = shardCells{id: sh.ID, cells: cells}
-		}(i, sh)
-	}
-	wg.Wait()
+	cells := make([][]cellJSON, len(topo.Shards))
+	failed := make([]bool, len(topo.Shards))
+	par.Do(len(topo.Shards), len(topo.Shards), func(i int) {
+		res := rt.shardTry(r.Context(), topo.Shards[i], call{target: "/cells.json"})
+		failed[i] = !res.ok() || json.Unmarshal(res.body, &cells[i]) != nil
+	})
 
 	resp := CellsResponse{Cells: []cellJSON{}}
-	for _, sc := range out {
-		if sc.err != nil {
+	for i, sh := range topo.Shards {
+		if failed[i] {
 			resp.Partial = true
-			resp.Missing = append(resp.Missing, sc.id)
+			resp.Missing = append(resp.Missing, sh.ID)
 			continue
 		}
-		resp.Cells = append(resp.Cells, sc.cells...)
+		resp.Cells = append(resp.Cells, cells[i]...)
 	}
 	sort.Strings(resp.Missing)
 	if resp.Partial {
 		rt.m.partials.Inc()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // fleetHealth is the router /healthz wire form.
@@ -330,7 +298,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	h := fleetHealth{OK: true}
 	if topo == nil {
 		h.OK = false
-		writeJSON(w, http.StatusOK, h)
+		wire.WriteJSON(w, http.StatusOK, h)
 		return
 	}
 	for _, sh := range topo.Shards {
@@ -346,7 +314,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 		h.Shards = append(h.Shards, shh)
 	}
-	writeJSON(w, http.StatusOK, h)
+	wire.WriteJSON(w, http.StatusOK, h)
 }
 
 // handleMetrics serves the router's own fleet_* registry followed by
@@ -362,40 +330,19 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if topo == nil {
 		return
 	}
-	type scrape struct {
-		body []byte
-		err  error
-	}
-	var reps []*Replica
-	for _, sh := range topo.Shards {
-		reps = append(reps, sh.Replicas...)
-	}
-	scrapes := make([]scrape, len(reps))
-	var wg sync.WaitGroup
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep *Replica) {
-			defer wg.Done()
-			res := rt.tryGET(r.Context(), candidate{rep: rep, shard: &Shard{}}, "/metrics", "")
-			if !res.ok() {
-				scrapes[i] = scrape{err: res.err}
-				if res.err == nil {
-					scrapes[i].err = fmt.Errorf("status %d", res.status)
-				}
-				return
-			}
-			scrapes[i] = scrape{body: res.body}
-		}(i, rep)
-	}
-	wg.Wait()
-
-	ru := newRollup()
-	for _, sc := range scrapes {
-		if sc.err != nil {
+	reps := topo.replicas()
+	bodies := make([][]byte, len(reps)) // nil where the scrape failed
+	par.Do(len(reps), len(reps), func(i int) {
+		res := rt.attempt(r.Context(), candidate{rep: reps[i]}, call{target: "/metrics"})
+		if !res.ok() {
 			rt.m.rollupErrors.Inc()
-			continue
+			return
 		}
-		_ = ru.add(bytes.NewReader(sc.body))
+		bodies[i] = res.body
+	})
+	ru := newRollup()
+	for _, b := range bodies {
+		_ = ru.add(bytes.NewReader(b))
 	}
 	_ = ru.write(w)
 }

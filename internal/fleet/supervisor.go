@@ -10,10 +10,11 @@ import (
 
 	"lumos5g"
 	"lumos5g/internal/core"
+	"lumos5g/internal/engine"
 	"lumos5g/internal/geo"
 	"lumos5g/internal/ingest"
 	"lumos5g/internal/mapserver"
-	"lumos5g/internal/rng"
+	"lumos5g/internal/par"
 )
 
 // The supervisor runs a whole fleet locally: per-shard slices of the
@@ -24,22 +25,22 @@ import (
 // process does (its connections reset mid-flight), and comes back on
 // the same port the topology advertises.
 
-// PartitionMap slices tm into per-shard maps by rendezvous ownership of
-// each cell — the same OwnerID the router routes by, so a query always
-// lands on the shard holding its cell. Every shard gets a map (possibly
-// empty: it still serves map-mean answers for misrouted or failed-over
-// queries).
-func PartitionMap(tm *lumos5g.ThroughputMap, ids []string) map[string]*lumos5g.ThroughputMap {
-	parts := make(map[string]*lumos5g.ThroughputMap, len(ids))
-	for _, id := range ids {
-		parts[id] = &lumos5g.ThroughputMap{
+// PartitionMap slices tm into per-shard maps, keyed by shard ID, giving
+// each cell to its owner under topo.Owner — the rule the router routes
+// by, so a query always lands on the shard holding its cell. Every
+// shard gets a map (possibly empty: it still serves map-mean answers
+// for misrouted or failed-over queries).
+func PartitionMap(tm *lumos5g.ThroughputMap, topo *Topology) map[string]*lumos5g.ThroughputMap {
+	parts := make(map[string]*lumos5g.ThroughputMap, len(topo.Shards))
+	for _, sh := range topo.Shards {
+		parts[sh.ID] = &lumos5g.ThroughputMap{
 			Cells:      map[geo.GridKey]*core.MapCell{},
 			MinSamples: tm.MinSamples,
 		}
 	}
 	for key, cell := range tm.Cells {
-		owner := OwnerID(ids, int32(key.Col), int32(key.Row))
-		parts[owner].Cells[key] = cell
+		owner := topo.Owner(engine.Key{Col: int32(key.Col), Row: int32(key.Row)})
+		parts[owner.ID].Cells[key] = cell
 	}
 	return parts
 }
@@ -98,6 +99,7 @@ type Fleet struct {
 	router *Router
 
 	shards []*supShard
+	jit    *jitter // restart jitter, shared by every supervisor
 
 	// ingStops joins every replica's refit loop on Shutdown.
 	ingStops []func()
@@ -134,9 +136,6 @@ type supReplica struct {
 	// edge is closed and replaced on every change of srv, so waiters
 	// block on the event instead of polling.
 	edge chan struct{}
-
-	jmu sync.Mutex
-	src *rng.Source
 }
 
 // signal wakes everyone waiting on the current edge. Callers hold mu.
@@ -161,33 +160,26 @@ func (r *supReplica) disable() *http.Server {
 	return r.srv
 }
 
-func (r *supReplica) jitter(d time.Duration) time.Duration {
-	r.jmu.Lock()
-	f := r.src.Range(0.5, 1.5)
-	r.jmu.Unlock()
-	return time.Duration(f * float64(d))
-}
-
 // StartFleet partitions tm across cfg.Shards shards, starts
 // cfg.Replicas supervised replicas per shard (every replica of a shard
 // serves that shard's map slice through the shared chain), and fronts
 // them with a Router. Call Shutdown to stop everything.
 func StartFleet(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, cfg FleetConfig) (*Fleet, error) {
 	cfg.fill()
-	ids := make([]string, cfg.Shards)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("s%d", i)
+	topo := &Topology{}
+	for i := 0; i < cfg.Shards; i++ {
+		topo.Shards = append(topo.Shards, &Shard{ID: fmt.Sprintf("s%d", i)})
 	}
-	parts := PartitionMap(tm, ids)
+	parts := PartitionMap(tm, topo)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	f := &Fleet{cfg: cfg, ctx: ctx, cancel: cancel}
-	src := rng.New(cfg.Seed)
-
-	topo := &Topology{}
-	for i, id := range ids {
-		sh := &Shard{ID: id}
+	f := &Fleet{cfg: cfg, ctx: ctx, cancel: cancel, jit: newJitter(cfg.Seed)}
+	for _, sh := range topo.Shards {
+		id := sh.ID
+		// Registered before its first replica starts, so a failure below
+		// closes every server already serving.
 		ss := &supShard{shard: sh}
+		f.shards = append(f.shards, ss)
 		for j := 0; j < cfg.Replicas; j++ {
 			ms, err := mapserver.NewWithChain(parts[id], chain, cfg.ServerOpts...)
 			if err != nil {
@@ -219,16 +211,12 @@ func StartFleet(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, cfg Fle
 				ms:   ms,
 				addr: ln.Addr().String(),
 				edge: make(chan struct{}),
-				src:  src.SplitLabeled(rep.ID),
 			}
 			sh.Replicas = append(sh.Replicas, rep)
 			ss.reps = append(ss.reps, sr)
 			f.wg.Add(1)
 			go f.supervise(sr, ln)
 		}
-		topo.Shards = append(topo.Shards, sh)
-		f.shards = append(f.shards, ss)
-		_ = i
 	}
 	f.router = NewRouter(topo, cfg.Router)
 	return f, nil
@@ -246,7 +234,7 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 			_ = ln.Close()
 		}
 	}()
-	delay := f.cfg.RestartBase
+	bo := newBackoff(f.jit, f.cfg.RestartBase, f.cfg.RestartMax)
 	for {
 		r.mu.Lock()
 		if f.ctx.Err() != nil || r.disabled {
@@ -260,11 +248,8 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 				r.mu.Unlock()
 				// The pinned port is briefly unavailable (a dying server's
 				// listener not fully gone): back off and retry.
-				if !sleepCtx(f.ctx, r.jitter(delay)) {
+				if !bo.wait(f.ctx) {
 					return
-				}
-				if delay *= 2; delay > f.cfg.RestartMax {
-					delay = f.cfg.RestartMax
 				}
 				continue
 			}
@@ -287,13 +272,10 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 			return
 		}
 		if time.Since(started) > time.Second {
-			delay = f.cfg.RestartBase // it ran healthily; this is not a crash loop
+			bo.reset() // it ran healthily; this is not a crash loop
 		}
-		if !sleepCtx(f.ctx, r.jitter(delay)) {
+		if !bo.wait(f.ctx) {
 			return
-		}
-		if delay *= 2; delay > f.cfg.RestartMax {
-			delay = f.cfg.RestartMax
 		}
 	}
 }
@@ -367,22 +349,18 @@ func (f *Fleet) DrainShard(ctx context.Context, shardID string) bool {
 	// StateNew to its replica, and Shutdown waits 5 s before treating it
 	// as idle; release them now that no new request routes here.
 	f.router.client.CloseIdleConnections()
-	var wg sync.WaitGroup
+	var srvs []*http.Server
 	for _, ss := range f.shards {
 		if ss.shard.ID != shardID {
 			continue
 		}
 		for _, sr := range ss.reps {
 			if srv := sr.disable(); srv != nil {
-				wg.Add(1)
-				go func(srv *http.Server) {
-					defer wg.Done()
-					_ = srv.Shutdown(ctx)
-				}(srv)
+				srvs = append(srvs, srv)
 			}
 		}
 	}
-	wg.Wait()
+	par.Do(len(srvs), len(srvs), func(i int) { _ = srvs[i].Shutdown(ctx) })
 	return true
 }
 
@@ -400,19 +378,15 @@ func (f *Fleet) Shutdown(ctx context.Context) {
 	// under the same lock it publishes under, so every server is either
 	// read below or never published.
 	f.cancel()
-	var wg sync.WaitGroup
+	var srvs []*http.Server
 	for _, ss := range f.shards {
 		for _, sr := range ss.reps {
 			if srv := sr.curSrv(); srv != nil {
-				wg.Add(1)
-				go func(srv *http.Server) {
-					defer wg.Done()
-					_ = srv.Shutdown(ctx)
-				}(srv)
+				srvs = append(srvs, srv)
 			}
 		}
 	}
-	wg.Wait()
+	par.Do(len(srvs), len(srvs), func(i int) { _ = srvs[i].Shutdown(ctx) })
 	f.wg.Wait()
 }
 

@@ -3,19 +3,20 @@ package fleet
 import (
 	"context"
 	"net"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 )
 
-// waitServing blocks until the replica's serving state equals serving —
-// a server published (its port bound) or none — or ctx ends.
-func (r *supReplica) waitServing(ctx context.Context, serving bool) error {
+// waitSrv blocks until the replica's published server (nil while none)
+// satisfies ok, or ctx ends.
+func (r *supReplica) waitSrv(ctx context.Context, ok func(*http.Server) bool) error {
 	for {
 		r.mu.Lock()
-		now, edge := r.srv != nil, r.edge
+		srv, edge := r.srv, r.edge
 		r.mu.Unlock()
-		if now == serving {
+		if ok(srv) {
 			return nil
 		}
 		select {
@@ -24,6 +25,12 @@ func (r *supReplica) waitServing(ctx context.Context, serving bool) error {
 			return ctx.Err()
 		}
 	}
+}
+
+// waitServing blocks until the replica's serving state equals serving —
+// a server published (its port bound) or none — or ctx ends.
+func (r *supReplica) waitServing(ctx context.Context, serving bool) error {
+	return r.waitSrv(ctx, func(srv *http.Server) bool { return (srv != nil) == serving })
 }
 
 // TestSupervisorLifecycleRace races the lifecycle calls against the

@@ -16,7 +16,6 @@
 package ingest
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,6 +27,7 @@ import (
 	"lumos5g/internal/geo"
 	"lumos5g/internal/obs"
 	"lumos5g/internal/radio"
+	"lumos5g/internal/wire"
 )
 
 // MaxBatchSamples bounds the samples of one POST /ingest body, so a
@@ -199,12 +199,12 @@ func New(reg *obs.Registry, cfg Config) *Ingestor {
 func (ing *Ingestor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		ingestError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	samples, err := DecodeBatch(r.Body)
 	if err != nil {
-		ingestError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ing.m.batches.Inc()
@@ -215,19 +215,20 @@ func (ing *Ingestor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// shed middleware's convention so fleet retry logic treats
 		// both identically.
 		w.Header().Set("Retry-After", "1")
-		writeIngestJSON(w, http.StatusTooManyRequests, res)
+		wire.WriteJSON(w, http.StatusTooManyRequests, res)
 		return
 	}
-	writeIngestJSON(w, http.StatusOK, res)
+	wire.WriteJSON(w, http.StatusOK, res)
 }
 
 // DecodeBatch reads one POST /ingest body: a non-empty JSON array of at
-// most MaxBatchSamples samples. The error text is client-facing; the
-// replica's handler and the fleet router both answer it as a 400, so a
-// batch one rejects the other rejects in the same words.
+// most MaxBatchSamples samples, followed by nothing but whitespace. The
+// error text is client-facing; the replica's handler and the fleet
+// router both answer it as a 400, so a batch one rejects the other
+// rejects in the same words.
 func DecodeBatch(body io.Reader) ([]Sample, error) {
 	var samples []Sample
-	if err := json.NewDecoder(body).Decode(&samples); err != nil {
+	if err := wire.DecodeJSON(body, &samples); err != nil {
 		return nil, errors.New("body must be a JSON array of samples: " + err.Error())
 	}
 	if len(samples) == 0 {
@@ -240,8 +241,8 @@ func DecodeBatch(body io.Reader) ([]Sample, error) {
 }
 
 // Ingest gates and enqueues a decoded batch, returning the per-sample
-// accounting. Exported for the fleet router (which decodes once,
-// routes by cell, and re-encodes per shard) and for tests.
+// accounting. ServeHTTP calls it once per POST /ingest; it is exported
+// for tests and benchmarks that feed samples without HTTP.
 func (ing *Ingestor) Ingest(samples []Sample) BatchResult {
 	res := BatchResult{}
 	for i := range samples {
@@ -425,14 +426,4 @@ func optF(p *float64) float64 {
 		return math.NaN()
 	}
 	return *p
-}
-
-func writeIngestJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func ingestError(w http.ResponseWriter, code int, msg string) {
-	writeIngestJSON(w, code, map[string]string{"error": msg})
 }

@@ -32,8 +32,8 @@ type ChainSwapper interface {
 }
 
 // TrainFunc retrains a chain on a window snapshot. The default is
-// lumos5g.TrainFallbackChain; tests swap in corrupt/regressing/panicky
-// trainers to drive the rollback paths.
+// lumos5g.TrainCalibratedFallbackChain; tests swap in
+// corrupt/regressing/panicky trainers to drive the rollback paths.
 type TrainFunc func(d *lumos5g.Dataset, groups []lumos5g.FeatureGroup, m lumos5g.Model, sc lumos5g.Scale) (*lumos5g.FallbackChain, error)
 
 // RefitConfig tunes the retrain loop. Zero values take defaults.
@@ -74,7 +74,8 @@ type RefitConfig struct {
 	// WatchModelFile on another replica could follow. Empty means the
 	// envelope round-trip happens in memory only.
 	ArtifactPath string
-	// Train overrides the trainer (tests). Default TrainFallbackChain.
+	// Train overrides the trainer (tests). Default
+	// TrainCalibratedFallbackChain.
 	Train TrainFunc
 }
 

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lumos5g/internal/wire"
 )
 
 func TestHealthzDegradedWithoutModel(t *testing.T) {
@@ -51,7 +53,7 @@ func TestRecoveryMiddlewareTurnsPanicInto500(t *testing.T) {
 	if rr.Code != http.StatusInternalServerError {
 		t.Fatalf("want 500, got %d", rr.Code)
 	}
-	var e apiError
+	var e wire.ErrorBody
 	if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Error == "" {
 		t.Fatalf("panic must produce a structured JSON error, got %q", rr.Body.String())
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"lumos5g/internal/ingest"
+	"lumos5g/internal/wire"
 )
 
 // POST /ingest wiring: the server always mounts the route so the
@@ -33,7 +34,7 @@ func (s *Server) Ingestor() *ingest.Ingestor {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ing := s.ing.Load()
 	if ing == nil {
-		writeError(w, http.StatusNotFound, "ingest not enabled on this server")
+		wire.WriteError(w, http.StatusNotFound, "ingest not enabled on this server")
 		return
 	}
 	ing.ServeHTTP(w, r)

@@ -328,7 +328,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			h.TiersServed[i] = m.tierServed.Total(map[string]string{"tier": name})
 		}
 	}
-	writeJSON(w, http.StatusOK, h)
+	wire.WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleSVG(w http.ResponseWriter, _ *http.Request) {
@@ -364,13 +364,13 @@ func (s *Server) handleCells(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	chain := s.Chain()
 	if chain == nil {
-		writeError(w, http.StatusNotFound, "no model published")
+		wire.WriteError(w, http.StatusNotFound, "no model published")
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", `attachment; filename="lumos5g-chain.l5g"`)
 	if err := chain.Save(w); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		wire.WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -429,7 +429,7 @@ func (pc *predictCall) computePredict() (predictResponse, band) {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	pt, err := wire.ParsePredict(r.URL.RawQuery)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	pc := predictCallPool.Get().(*predictCall)
@@ -456,12 +456,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		body := marshalPredict(resp, bandOf(p), wantIval)
 		if body == nil {
 			s.m.nonFinite.Inc()
-			writeError(w, http.StatusInternalServerError, "prediction is not finite")
+			wire.WriteError(w, http.StatusInternalServerError, "prediction is not finite")
 			return
 		}
 		s.m.tierServed.With(route, resp.Source).Inc()
 		annotatePredict(r.Context(), resp.Tier, resp.Source, "off")
-		writeJSONBytes(w, http.StatusOK, body)
+		wire.WriteJSONBytes(w, http.StatusOK, body)
 		return
 	}
 	if cache == nil {
@@ -469,18 +469,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		body := marshalPredict(resp, bd, wantIval)
 		if body == nil {
 			s.m.nonFinite.Inc()
-			writeError(w, http.StatusInternalServerError, "prediction is not finite")
+			wire.WriteError(w, http.StatusInternalServerError, "prediction is not finite")
 			return
 		}
 		s.m.tierServed.With(route, resp.Source).Inc()
 		annotatePredict(r.Context(), resp.Tier, resp.Source, "off")
-		writeJSONBytes(w, http.StatusOK, body)
+		wire.WriteJSONBytes(w, http.StatusOK, body)
 		return
 	}
 	resp, body, outcome := cache.run(quantizeKey(pc.px, pc.q.Speed, pc.q.Bearing), pc, wantIval)
 	if outcome == outcomeInvalid || body == nil {
 		s.m.nonFinite.Inc()
-		writeError(w, http.StatusInternalServerError, "prediction is not finite")
+		wire.WriteError(w, http.StatusInternalServerError, "prediction is not finite")
 		return
 	}
 	// The handler owns the counting identity: a 200 is exactly one of a
@@ -495,18 +495,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.m.cacheUncached.Inc()
 	}
 	annotatePredict(r.Context(), resp.Tier, resp.Source, outcome.String())
-	writeJSONBytes(w, http.StatusOK, body)
+	wire.WriteJSONBytes(w, http.StatusOK, body)
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	queries, err := wire.DecodeBatch(r.Header.Get("Content-Type"), r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	pxs := make([]geo.Pixel, len(queries))
@@ -530,7 +530,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, f
 		p := &preds[i]
 		if math.IsNaN(p.Mbps) || math.IsInf(p.Mbps, 0) || form.Intervals && !p.Finite() {
 			s.m.nonFinite.Inc()
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("query %d: prediction is not finite", i))
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("query %d: prediction is not finite", i))
 			return
 		}
 	}
@@ -555,7 +555,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, f
 		b, err := form.AppendFrame((*bufp)[:0], rs)
 		if err != nil {
 			batchBufPool.Put(bufp)
-			writeError(w, http.StatusInternalServerError, err.Error())
+			wire.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		ct := wireCT
@@ -580,7 +580,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, f
 		b = appendPredict(b, engineResponse(preds[i]), bandOf(preds[i]), form.Intervals)
 	}
 	b = append(b, ']', '\n')
-	writeJSONBytes(w, http.StatusOK, b)
+	wire.WriteJSONBytes(w, http.StatusOK, b)
 	*bufp = b[:0]
 	batchBufPool.Put(bufp)
 }
@@ -611,7 +611,8 @@ next:
 }
 
 // wireCT / wireIvalCT are the shared Content-Type header values of
-// binary batch responses (see jsonCT for why they are shared slices).
+// binary batch responses (see wire.SetJSONType for why they are shared
+// slices).
 var (
 	wireCT     = []string{wire.ContentType}
 	wireIvalCT = []string{wire.ContentTypeIntervals}

@@ -16,6 +16,7 @@ import (
 	"lumos5g/internal/core"
 	"lumos5g/internal/engine"
 	"lumos5g/internal/geo"
+	"lumos5g/internal/wire"
 )
 
 // metricValue extracts one series value from a Prometheus text
@@ -174,7 +175,7 @@ func TestTimeoutResponseWireShape(t *testing.T) {
 	if body != `{"error":"request timed out"}`+"\n" {
 		t.Fatalf("timeout body: %q", body)
 	}
-	var e apiError
+	var e wire.ErrorBody
 	if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
 		t.Fatalf("timeout body is not the structured error shape: %q", body)
 	}

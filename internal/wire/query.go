@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -172,7 +171,9 @@ func wantIntervals(rawQuery string) bool {
 
 // DecodeBatch reads one /predict/batch request body: a binary request
 // frame when contentType is ContentType, a JSON array of
-// {lat, lon[, speed][, bearing]} objects otherwise. It enforces
+// {lat, lon[, speed][, bearing]} objects otherwise. Either encoding
+// must end where its request ends: a frame with trailing bytes, or an
+// array followed by more than whitespace, is rejected. It enforces
 // MaxBatchRows and validates every row; the error text is
 // client-facing. The caller bounds the body's bytes (MaxBodyBytes).
 func DecodeBatch(contentType string, body io.Reader) ([]Query, error) {
@@ -185,7 +186,7 @@ func DecodeBatch(contentType string, body io.Reader) ([]Query, error) {
 		if qs, err = DecodeQueries(b, MaxBatchRows); err != nil {
 			return nil, err
 		}
-	} else if err := json.NewDecoder(body).Decode(&qs); err != nil {
+	} else if err := DecodeJSON(body, &qs); err != nil {
 		return nil, errors.New("body must be a JSON array of {lat, lon[, speed][, bearing]} queries")
 	}
 	if len(qs) == 0 {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"net/url"
 	"strconv"
@@ -147,4 +148,55 @@ func TestNegotiate(t *testing.T) {
 			t.Fatalf("Negotiate(%q, %q) = %+v (%s), want %+v (%s)", tc.accept, tc.query, got, got.ContentType(), tc.want, tc.ct)
 		}
 	}
+}
+
+// FuzzDecodeBatch: whatever the body, DecodeBatch never panics, every
+// row it accepts passes Validate, it never accepts more than
+// MaxBatchRows rows, and under both content types an accepted body ends
+// the request: one more byte is rejected, except JSON whitespace after
+// a JSON array, which decodes to the same rows.
+func FuzzDecodeBatch(f *testing.F) {
+	for _, s := range []string{
+		// The mapserver and fleet handler tests' bodies.
+		`[{"lat":44.883800,"lon":-93.210000,"speed":4.5,"bearing":10},{"lat":44.883800,"lon":-93.210000},{"lat":0,"lon":0}]`,
+		`[{"lat":44.883800,"lon":-93.210000},{"lat":0,"lon":0}]`,
+		`{"lat":`,
+		`{"lat":1,"lon":2}`,
+		`[]`,
+		`[{"lat":91,"lon":0}]`,
+		`[{"lat":0,"lon":-181}]`,
+		`[{"lat":0,"lon":0,"speed":-1}]`,
+		`[{"lat":0,"lon":0,"bearing":999}]`,
+		`[{"lat":1,"lon":2}] this is not JSON`,
+		"[{\"lat\":1,\"lon\":2}]\n",
+	} {
+		f.Add([]byte(s), byte('x'))
+	}
+	f.Add(AppendQueries(nil, sampleQueries()), byte(' '))
+	f.Fuzz(func(t *testing.T, body []byte, tail byte) {
+		for _, ct := range []string{"application/json", ContentType} {
+			qs, err := DecodeBatch(ct, bytes.NewReader(body))
+			if err != nil {
+				continue
+			}
+			if len(qs) == 0 || len(qs) > MaxBatchRows {
+				t.Fatalf("%s: accepted %d rows", ct, len(qs))
+			}
+			for i := range qs {
+				if err := qs[i].Validate(); err != nil {
+					t.Fatalf("%s: accepted row %d fails Validate: %v", ct, i, err)
+				}
+			}
+			again, err := DecodeBatch(ct, bytes.NewReader(append(bytes.Clone(body), tail)))
+			jsonSpace := tail == ' ' || tail == '\t' || tail == '\n' || tail == '\r'
+			switch {
+			case ct != ContentType && jsonSpace:
+				if err != nil || !equalQueries(again, qs) {
+					t.Fatalf("%s: trailing %q changed the rows or failed: %v", ct, tail, err)
+				}
+			case err == nil:
+				t.Fatalf("%s: accepted body plus trailing %q still accepted", ct, tail)
+			}
+		}
+	})
 }
