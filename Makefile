@@ -39,9 +39,10 @@ race-core:
 	$(GO) test -race ./internal/netem/... ./internal/mapserver/... ./internal/obs/...
 
 # The deterministic-parallelism layer, race-checked in isolation (fast
-# inner loop while working on the worker pipeline or the ML ensembles).
+# inner loop while working on the worker pipeline, the ML ensembles or
+# the chain trainer in the root package, whose tiers train concurrently).
 race-parallel:
-	$(GO) test -race ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/par/...
+	$(GO) test -race ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/par/... .
 
 # The sharded serving fleet's chaos suite, race-checked: replicas
 # killed/stalled/drained mid-load while the router must keep answering.

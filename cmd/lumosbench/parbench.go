@@ -9,17 +9,20 @@ import (
 	"time"
 
 	"lumos5g"
+	"lumos5g/internal/cityscape"
+	"lumos5g/internal/env"
 	"lumos5g/internal/features"
 	"lumos5g/internal/ml/gbdt"
 	"lumos5g/internal/sim"
 )
 
 // The -parbench mode proves out the deterministic worker-pool layer: it
-// times the three parallelised hot paths — campaign generation, GBDT
-// training, batch prediction — serial versus parallel, verifies the
-// outputs agree, and writes the numbers as machine-readable JSON. On a
-// single-core machine the speedups hover around 1× (the report records
-// num_cpu so that is auditable); correctness is asserted regardless.
+// times the parallelised hot paths — campaign generation, one GBDT fit,
+// the default fallback chain's training, batch prediction — serial
+// versus parallel, verifies the outputs agree, and writes the numbers
+// as machine-readable JSON. On a single-core machine the speedups hover
+// around 1× (the report records num_cpu so that is auditable);
+// correctness is asserted regardless.
 
 // parBenchEntry is one serial-vs-parallel timing pair.
 type parBenchEntry struct {
@@ -62,8 +65,8 @@ func entry(name string, rows int, serial, parallel time.Duration, identical bool
 	return e
 }
 
-// runParBench runs the three speedup benchmarks and writes the JSON
-// report to path.
+// runParBench runs the speedup benchmarks and writes the JSON report to
+// path.
 func runParBench(path string, workers int, seed uint64) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -124,6 +127,40 @@ func runParBench(path string, workers int, seed uint64) error {
 	rep.Benchmarks = append(rep.Benchmarks,
 		entry("train", len(mat.X), serialFit, parFit, fitSame))
 
+	// Train chain: the default chain the daemons serve (calibrated GDBT
+	// tiers L+M+C → L+M → L over the default generated city), with one
+	// worker vs the pool. The worker count bounds both how many tiers
+	// train at once and the loops inside each fit; the chains must save
+	// to the same bytes.
+	city := cityscape.Generate(cityscape.Config{Seed: seed})
+	citySc := city.Mixed(24, seed)
+	cityD, _ := lumos5g.CleanDataset(sim.RunCampaignParallel(citySc.Sim, []*env.Area{citySc.Area}, workers))
+	trainChain := func(w int) ([]byte, time.Duration, error) {
+		sc := lumos5g.Scale{Seed: seed}
+		sc.GBDT.Workers = w
+		start := time.Now()
+		c, err := lumos5g.TrainCalibratedFallbackChain(cityD, lumos5g.DefaultFallbackGroups, lumos5g.ModelGDBT, sc)
+		took := time.Since(start)
+		if err != nil {
+			return nil, 0, fmt.Errorf("parbench: train chain (workers %d): %w", w, err)
+		}
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			return nil, 0, fmt.Errorf("parbench: save chain (workers %d): %w", w, err)
+		}
+		return buf.Bytes(), took, nil
+	}
+	serialChain, serialChainT, err := trainChain(1)
+	if err != nil {
+		return err
+	}
+	parChain, parChainT, err := trainChain(workers)
+	if err != nil {
+		return err
+	}
+	rep.Benchmarks = append(rep.Benchmarks,
+		entry("train_chain", cityD.Len(), serialChainT, parChainT, bytes.Equal(serialChain, parChain)))
+
 	// Predict: per-row Predict loop vs PredictBatch on the same model.
 	start = time.Now()
 	serialPred := make([]float64, len(mat.X))
@@ -149,7 +186,7 @@ func runParBench(path string, workers int, seed uint64) error {
 		return err
 	}
 	for _, b := range rep.Benchmarks {
-		fmt.Printf("%-9s %7d rows  serial %6.2fs  parallel %6.2fs  speedup %.2fx  identical=%t\n",
+		fmt.Printf("%-11s %7d rows  serial %6.2fs  parallel %6.2fs  speedup %.2fx  identical=%t\n",
 			b.Name, b.Rows, b.SerialSeconds, b.ParallelSeconds, b.Speedup, b.Identical)
 	}
 	fmt.Printf("wrote %s (workers=%d, cpus=%d)\n", path, workers, rep.NumCPU)

@@ -65,7 +65,7 @@ func main() {
 	refitGate := flag.Float64("refit-gate", 0.10, "holdout gate: reject a candidate whose MAE regresses past the live model by this fraction")
 	refitMin := flag.Int("refit-min", 200, "window samples required before a refit fires")
 	refitArtifact := flag.String("refit-artifact", "", "promote accepted refit generations to this artifact path (empty = in-memory only)")
-	refitWorkers := flag.Int("refit-workers", 0, "trainer parallelism for refits; 0 = one worker per CPU (fits are byte-identical for any count)")
+	refitWorkers := flag.Int("refit-workers", 0, "trainer parallelism for refits: bounds both the chain tiers trained at once and the loops inside each fit; 0 = one worker per CPU (fits are byte-identical for any count)")
 	ingestCellCap := flag.Int("ingest-cell-cap", 0, "max window samples per grid cell, evicting oldest-in-cell — keeps a parked UE from dominating refits (0 = unlimited)")
 	flag.Parse()
 

@@ -10,6 +10,7 @@ import (
 	"lumos5g/internal/features"
 	"lumos5g/internal/ml"
 	"lumos5g/internal/ml/hm"
+	"lumos5g/internal/par"
 )
 
 // FallbackChain is a degraded-mode predictor: an ordered list of trained
@@ -154,25 +155,12 @@ func NewFallbackChain(priorMbps float64, tiers ...*Predictor) (*FallbackChain, e
 // given order) on d and closes the chain with the dataset's harmonic-mean
 // throughput as the prior. Groups that yield no usable rows on d (e.g. a
 // tower group on an unsurveyed area) are skipped rather than failing the
-// whole chain — the result records only the tiers that exist.
+// whole chain — the result records only the tiers that exist. Tiers
+// train concurrently as trainTiers describes.
 func TrainFallbackChain(d *Dataset, groups []FeatureGroup, m Model, sc Scale) (*FallbackChain, error) {
-	if len(groups) == 0 {
-		groups = DefaultFallbackGroups
-	}
-	var tiers []*Predictor
-	for _, g := range groups {
-		p, err := Train(d, g, m, sc)
-		if err != nil {
-			if errors.Is(err, ErrNoUsableRows) {
-				continue
-			}
-			return nil, fmt.Errorf("lumos5g: train fallback tier %s: %w", g, err)
-		}
-		tiers = append(tiers, p)
-	}
-	prior, err := hm.New(d.Len()).Predict(d.Throughputs())
-	if err != nil || !(prior > 0) {
-		return nil, fmt.Errorf("lumos5g: cannot derive fallback prior from dataset: %v", err)
+	tiers, prior, err := trainTiers(d, groups, m, sc, Train, "fallback")
+	if err != nil {
+		return nil, err
 	}
 	return NewFallbackChain(prior, tiers...)
 }
@@ -184,23 +172,9 @@ func TrainFallbackChain(d *Dataset, groups []FeatureGroup, m Model, sc Scale) (*
 // harmonic-mean prior, so PredictInterval serves a calibrated band from
 // every tier including HM.
 func TrainCalibratedFallbackChain(d *Dataset, groups []FeatureGroup, m Model, sc Scale) (*FallbackChain, error) {
-	if len(groups) == 0 {
-		groups = DefaultFallbackGroups
-	}
-	var tiers []*Predictor
-	for _, g := range groups {
-		p, err := TrainCalibrated(d, g, m, sc)
-		if err != nil {
-			if errors.Is(err, ErrNoUsableRows) {
-				continue
-			}
-			return nil, fmt.Errorf("lumos5g: train calibrated fallback tier %s: %w", g, err)
-		}
-		tiers = append(tiers, p)
-	}
-	prior, err := hm.New(d.Len()).Predict(d.Throughputs())
-	if err != nil || !(prior > 0) {
-		return nil, fmt.Errorf("lumos5g: cannot derive fallback prior from dataset: %v", err)
+	tiers, prior, err := trainTiers(d, groups, m, sc, TrainCalibrated, "calibrated fallback")
+	if err != nil {
+		return nil, err
 	}
 	c, err := NewFallbackChain(prior, tiers...)
 	if err != nil {
@@ -217,6 +191,57 @@ func TrainCalibratedFallbackChain(d *Dataset, groups []FeatureGroup, m Model, sc
 		}
 	}
 	return c, nil
+}
+
+// trainTiers is the tier loop of both chain trainers: it fits one
+// predictor per group with train (Train or TrainCalibrated), the groups
+// defaulting to DefaultFallbackGroups, and returns the usable tiers in
+// group order with the dataset's harmonic-mean prior. The tiers are
+// independent and share only the read-only d, so up to tierWorkers of
+// them train at once: each next group, in order, goes to the first free
+// worker and lands in its own slot. The chain is then assembled in group
+// order exactly as a serial loop would: groups with no usable rows are
+// skipped, and the first other error in group order is returned,
+// labelled with what.
+func trainTiers(d *Dataset, groups []FeatureGroup, m Model, sc Scale,
+	train func(*Dataset, FeatureGroup, Model, Scale) (*Predictor, error), what string) ([]*Predictor, float64, error) {
+	if len(groups) == 0 {
+		groups = DefaultFallbackGroups
+	}
+	fitted := make([]*Predictor, len(groups))
+	errs := make([]error, len(groups))
+	par.Do(tierWorkers(m, sc), len(groups), func(i int) {
+		fitted[i], errs[i] = train(d, groups[i], m, sc)
+	})
+	var tiers []*Predictor
+	for i, err := range errs {
+		if errors.Is(err, ErrNoUsableRows) {
+			continue
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("lumos5g: train %s tier %s: %w", what, groups[i], err)
+		}
+		tiers = append(tiers, fitted[i])
+	}
+	prior, err := hm.New(d.Len()).Predict(d.Throughputs())
+	if err != nil || !(prior > 0) {
+		return nil, 0, fmt.Errorf("lumos5g: cannot derive fallback prior from dataset: %v", err)
+	}
+	return tiers, prior, nil
+}
+
+// tierWorkers bounds how many chain tiers train at once: the worker
+// count the Scale carries for m's family (GBDT.Workers, RF.Workers; 0
+// means one per CPU), so Workers 1 trains one tier at a time. Families
+// without a worker count train their tiers one after another.
+func tierWorkers(m Model, sc Scale) int {
+	switch m {
+	case ModelGDBT:
+		return par.Workers(sc.GBDT.Workers)
+	case ModelRF:
+		return par.Workers(sc.RF.Workers)
+	}
+	return 1
 }
 
 // SetLastResortOffsets attaches conformal offsets to the chain's

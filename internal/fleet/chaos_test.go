@@ -495,6 +495,73 @@ func TestFleetMetricsRollup(t *testing.T) {
 	}
 }
 
+// TestFleetMetricsScrapeIsNoAttempt: a router /metrics scrape observes
+// the fleet and changes nothing about routing, so two consecutive
+// scrapes with no traffic between them read the same attempt count.
+func TestFleetMetricsScrapeIsNoAttempt(t *testing.T) {
+	f := startTestFleet(t, testFleetConfig())
+	_, _, points := fixture(t)
+	for i, p := range points[:20] {
+		rec := httptest.NewRecorder()
+		f.Router().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, predictURL(p, false, i), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("warm-up query: %d", rec.Code)
+		}
+	}
+	attempts := func() float64 {
+		rec := httptest.NewRecorder()
+		f.Router().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return sumExposition(rec.Body.String(), "fleet_attempts_total{")
+	}
+	first, second := attempts(), attempts()
+	if first == 0 || second != first {
+		t.Fatalf("fleet_attempts_total %v then %v across two idle scrapes, want one non-zero value", first, second)
+	}
+}
+
+// TestRollupScrapeLeavesRoutingState: a replica whose /metrics
+// connection breaks mid-exchange costs the rollup a scrape failure and
+// nothing else — no attempt is counted, its breaker records no failure
+// and the router does not mark it down.
+func TestRollupScrapeLeavesRoutingState(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+			return
+		}
+		wire.WriteJSON(w, http.StatusOK, healthzBody{OK: true})
+	}))
+	defer backend.Close()
+	rep := &Replica{ID: "s0r0", URL: backend.URL}
+	rt := NewRouter(&Topology{Shards: []*Shard{{ID: "s0", Replicas: []*Replica{rep}}}},
+		RouterConfig{ProbeInterval: time.Hour})
+	defer rt.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for rep.State() != StateHealthy {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never probed healthy")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i := 1; i <= 2; i++ {
+		rt.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if got := rt.m.rollupErrors.Value(); got != uint64(i) {
+			t.Fatalf("scrape %d: %d rollup failures, want %d", i, got, i)
+		}
+	}
+	var own strings.Builder
+	_ = rt.Metrics().WritePrometheus(&own)
+	if got := sumExposition(own.String(), "fleet_attempts_total{"); got != 0 {
+		t.Fatalf("%v attempts counted for two scrapes", got)
+	}
+	if st, fails := rep.State(), rep.bk.fails.Load(); st != StateHealthy || fails != 0 {
+		t.Fatalf("after failed scrapes: state %v, breaker failures %d; want healthy, 0", st, fails)
+	}
+}
+
 func sumExposition(exposition, prefix string) float64 {
 	var sum float64
 	for _, line := range strings.Split(exposition, "\n") {

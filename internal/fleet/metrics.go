@@ -42,7 +42,7 @@ func newRouterMetrics(rt *Router) *routerMetrics {
 		latency: r.NewHistogramVec("fleet_http_request_duration_seconds",
 			"Router end-to-end request latency by route.", obs.DefLatencyBuckets, "route"),
 		attempts: r.NewCounterVec("fleet_attempts_total",
-			"Replica attempts by outcome (success, error, shed).", "outcome"),
+			"Replica attempts by outcome (success, error, shed): requests the router sent to a replica on behalf of a client request, hedges and retries included; health probes and /metrics rollup scrapes are not attempts.", "outcome"),
 		hedges: r.NewCounter("fleet_hedges_total",
 			"Hedged attempts launched because the previous one stalled."),
 		failovers: r.NewCounter("fleet_failovers_total",

@@ -228,42 +228,21 @@ func (a attemptResult) definitive() bool {
 // attempt sends cl to one replica, feeding its breaker and (on
 // transport failure) its state, and counts the outcome.
 func (rt *Router) attempt(ctx context.Context, c candidate, cl call) attemptResult {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
-	defer cancel()
-	method, body := http.MethodGet, io.Reader(nil)
-	if cl.body != nil {
-		method, body = http.MethodPost, bytes.NewReader(cl.body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.rep.URL+cl.target, body)
-	if err != nil {
-		return attemptResult{cand: c, err: err}
-	}
-	if cl.contentType != "" {
-		req.Header.Set("Content-Type", cl.contentType)
-	}
-	if cl.accept != "" {
-		req.Header.Set("Accept", cl.accept)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
+	res, sent := rt.send(ctx, c, cl)
+	switch {
+	case !sent:
+		// The request could not be built: nothing reached the replica.
+	case res.status == 0:
 		// Transport failure: the replica is unreachable or stalled. Mark
 		// it down now instead of waiting a probe period; the prober
 		// promotes it back the moment it answers a /healthz.
 		c.rep.bk.failure()
 		c.rep.setState(StateDown)
 		rt.m.attempts.With("error").Inc()
-		return attemptResult{cand: c, err: err}
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
+	case res.err != nil:
+		// The answer broke off mid-body.
 		c.rep.bk.failure()
 		rt.m.attempts.With("error").Inc()
-		return attemptResult{cand: c, err: err}
-	}
-	res := attemptResult{cand: c, status: resp.StatusCode, body: b, header: resp.Header,
-		retryAfter: resp.Header.Get("Retry-After") != ""}
-	switch {
 	case res.ok(), res.definitive(), res.backpressure():
 		// An answer, a client error or a full queue: the replica works.
 		c.rep.bk.success()
@@ -277,6 +256,43 @@ func (rt *Router) attempt(ctx context.Context, c candidate, cl call) attemptResu
 		rt.m.attempts.With("error").Inc()
 	}
 	return res
+}
+
+// send is the one HTTP exchange with a replica, under the attempt
+// timeout. It touches no routing state: attempt adds the accounting,
+// and the /metrics rollup, which only observes the fleet, sends alone.
+// sent reports that the request was built and went out; a sent result
+// without a status is a transport failure.
+func (rt *Router) send(ctx context.Context, c candidate, cl call) (res attemptResult, sent bool) {
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
+	defer cancel()
+	method, body := http.MethodGet, io.Reader(nil)
+	if cl.body != nil {
+		method, body = http.MethodPost, bytes.NewReader(cl.body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.rep.URL+cl.target, body)
+	if err != nil {
+		return attemptResult{cand: c, err: err}, false
+	}
+	if cl.contentType != "" {
+		req.Header.Set("Content-Type", cl.contentType)
+	}
+	if cl.accept != "" {
+		req.Header.Set("Accept", cl.accept)
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return attemptResult{cand: c, err: err}, true
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if err != nil {
+		// The answer broke off mid-body: keep only its status, which
+		// tells attempt that the replica did answer.
+		return attemptResult{cand: c, status: resp.StatusCode, err: err}, true
+	}
+	return attemptResult{cand: c, status: resp.StatusCode, body: b, header: resp.Header,
+		retryAfter: resp.Header.Get("Retry-After") != ""}, true
 }
 
 // handlePredict is the single-query route: parse and validate exactly

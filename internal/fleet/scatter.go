@@ -321,7 +321,9 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // the live rollup of every replica's lumos_* exposition, summed
 // point-wise by series. Replicas that fail to scrape are skipped and
 // counted (fleet_rollup_scrape_failures_total) — a partial rollup over
-// a half-dead fleet is still a rollup.
+// a half-dead fleet is still a rollup. A scrape observes the fleet and
+// changes nothing about routing: it goes out through send, not attempt,
+// so it is no replica attempt and leaves breakers and states alone.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	_ = rt.m.reg.WritePrometheus(w)
@@ -333,7 +335,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reps := topo.replicas()
 	bodies := make([][]byte, len(reps)) // nil where the scrape failed
 	par.Do(len(reps), len(reps), func(i int) {
-		res := rt.attempt(r.Context(), candidate{rep: reps[i]}, call{target: "/metrics"})
+		res, _ := rt.send(r.Context(), candidate{rep: reps[i]}, call{target: "/metrics"})
 		if !res.ok() {
 			rt.m.rollupErrors.Inc()
 			return

@@ -69,8 +69,9 @@ type metrics struct {
 	liveHoldoutMAE *obs.Gauge
 	candHoldoutMAE *obs.Gauge
 
-	// Durations by phase: "swap" is the SetChain hot-swap alone,
-	// "refit" the whole drain→train→gate cycle.
+	// Durations by phase: "refit" is the whole drain→train→gate cycle,
+	// "train" the chain training inside it, "swap" the SetChain
+	// hot-swap alone.
 	duration *obs.HistogramVec
 }
 
@@ -95,7 +96,7 @@ func newMetrics(reg *obs.Registry, ing *Ingestor) *metrics {
 		candHoldoutMAE: reg.NewGauge("lumos_refit_candidate_holdout_mae_mbps",
 			"Holdout MAE of the latest refit candidate on the same window."),
 		duration: reg.NewHistogramVec("lumos_refit_duration_seconds",
-			"Refit cycle and hot-swap durations.", swapLatencyBuckets, "phase"),
+			"Refit durations by phase: the whole cycle (refit), its chain training (train) and the hot-swap (swap).", swapLatencyBuckets, "phase"),
 	}
 	// Pre-create every reason child so /metrics shows the full closed
 	// label set at zero instead of labels popping into existence.

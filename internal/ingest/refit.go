@@ -65,8 +65,10 @@ type RefitConfig struct {
 	Seed uint64
 	// Workers bounds the trainer's parallelism (internal/par), exactly
 	// like offline training: n>0 uses n workers, 0 uses one worker per
-	// CPU. The fit is byte-identical for every worker count (the PR 3
-	// parity contract), so this only changes how fast a refit trains.
+	// CPU. It bounds both how many chain tiers train at once and the
+	// parallel loops inside each tier's fit, so 1 keeps a refit on one
+	// core. The fit is byte-identical for every worker count, so this
+	// only changes how fast a refit trains.
 	Workers int
 	// ArtifactPath, when set, is where accepted generations live: the
 	// candidate is written to ArtifactPath+".candidate", and promoted
@@ -205,7 +207,9 @@ func (ing *Ingestor) RefitNow(sw ChainSwapper) (RefitResult, error) {
 	}
 
 	train, holdout := snap.SplitTrainTest(1-cfg.HoldoutFrac, cfg.Seed+ing.refitSeq)
+	tt := time.Now()
 	cand, err := ing.trainSafe(train)
+	ing.m.duration.With("train").Observe(time.Since(tt).Seconds())
 	if err != nil {
 		if _, panicked := err.(*trainPanic); panicked {
 			return reject(refitReasonPanic, err)

@@ -125,6 +125,12 @@ func TestRefitTrainsAndSwaps(t *testing.T) {
 	if ing.m.refitsAccepted.Value() != 1 {
 		t.Fatal("lumos_refit_accepted_total not incremented")
 	}
+	// The train phase is timed inside the refit cycle.
+	trainH, refitH := ing.m.duration.With("train"), ing.m.duration.With("refit")
+	if trainH.Count() != 1 || refitH.Count() != 1 || !(trainH.Sum() > 0) || trainH.Sum() > refitH.Sum() {
+		t.Fatalf("refit durations: train count %d sum %v, refit count %d sum %v; want one each, train within refit",
+			trainH.Count(), trainH.Sum(), refitH.Count(), refitH.Sum())
+	}
 
 	// A second refit against the now-live model: whatever the gate
 	// decides (seed variance can swing a small window either way), the

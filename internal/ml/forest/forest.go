@@ -26,7 +26,8 @@ type Config struct {
 	// Workers bounds Fit/PredictBatch concurrency; <=0 means one worker
 	// per CPU. The fitted model is bit-identical for every worker count:
 	// each tree draws from its own pre-split rng stream and the trees
-	// are assembled in index order.
+	// are assembled in index order. The chain trainers also train at
+	// most Workers RF tiers at once.
 	Workers int
 }
 

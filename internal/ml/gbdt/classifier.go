@@ -76,10 +76,13 @@ func (c *Classifier) FitLabels(X [][]float64, labels []int) error {
 	}
 
 	workers := par.Bound(par.Workers(cfg.Workers), n, batchMinRows)
+	idx := make([]int, n)
 	var trees [][]*tree.Tree
 	for round := 0; round < cfg.Estimators; round++ {
 		roundTrees := make([]*tree.Tree, K)
-		rows := subsampleRows(n, nSub, src)
+		// Every class's tree grows on this round's rows; tree.Grow
+		// partitions a copy, so each sees them in draw order.
+		rows := drawRows(idx, nSub, src)
 		for k := 0; k < K; k++ {
 			// Negative gradient of multinomial deviance: y_k - p_k.
 			par.Chunks(workers, n, func(lo, hi int) {

@@ -35,11 +35,14 @@ type Config struct {
 	// Seed drives subsampling.
 	Seed uint64
 	// Workers bounds intra-round concurrency (candidate-split scans,
-	// residual and prediction-update row loops, PredictBatch); <=0 means
-	// one worker per CPU. Boosting rounds themselves stay sequential —
-	// round k+1 consumes round k's residuals — and every parallel loop
-	// writes only per-index state, so the fitted model is bit-identical
-	// for every worker count.
+	// the residual and out-of-bag prediction-update row loops,
+	// PredictBatch); <=0 means one worker per CPU. Boosting rounds
+	// themselves stay sequential — round k+1 consumes round k's
+	// residuals — and every parallel loop writes only per-index state,
+	// so the fitted model is bit-identical for every worker count. The
+	// chain trainers (lumos5g.TrainFallbackChain and
+	// TrainCalibratedFallbackChain) also train at most Workers tiers at
+	// once, so 1 keeps a whole chain's training on one core.
 	Workers int
 }
 
@@ -121,16 +124,21 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 
 	// Rounds are inherently sequential; the parallelism lives inside a
 	// round. The row loops write only their own element, so chunking
-	// them changes nothing about the floats produced.
+	// them changes nothing about the floats produced. One index buffer
+	// and one grower serve every round: drawRows refills the buffer, the
+	// grower partitions its in-bag head in place, and the out-of-bag
+	// tail stays as drawn.
 	workers := par.Bound(par.Workers(cfg.Workers), len(y), batchMinRows)
+	oobWorkers := par.Bound(par.Workers(cfg.Workers), len(y)-nSub, batchMinRows)
+	idx := make([]int, len(y))
+	var g tree.Grower
 	for round := 0; round < cfg.Estimators; round++ {
 		par.Chunks(workers, len(y), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				resid[i] = y[i] - pred[i]
 			}
 		})
-		rows := subsampleRows(len(y), nSub, src)
-		t, err := tree.Grow(binned, binner, resid, rows, tree.Options{
+		t, err := g.Grow(binned, binner, resid, drawRows(idx, nSub, src), tree.Options{
 			MaxDepth: cfg.MaxDepth,
 			MinLeaf:  cfg.MinLeaf,
 			Workers:  par.Workers(cfg.Workers),
@@ -138,13 +146,22 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 		if err != nil {
 			return err
 		}
-		par.Chunks(workers, len(y), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		// In-bag rows reached their leaves while the tree grew: credit
+		// each leaf's value to its rows, the exact float PredictBinned
+		// would walk them to. Rows are distinct, so each is credited once.
+		for _, lf := range g.Leaves() {
+			for _, i := range lf.Rows {
+				pred[i] += cfg.LearningRate * lf.Value
+			}
+		}
+		oob := idx[nSub:]
+		par.Chunks(oobWorkers, len(oob), func(lo, hi int) {
+			for _, i := range oob[lo:hi] {
 				pred[i] += cfg.LearningRate * t.PredictBinned(binned, i)
 			}
 		})
-		for f, g := range t.Gain {
-			featGain[f] += g
+		for f, gain := range t.Gain {
+			featGain[f] += gain
 		}
 		trees = append(trees, t)
 	}
@@ -177,22 +194,19 @@ func compileModel(trees []*tree.Tree, nFeat int, base, lr float64, edges [][]flo
 // successful Fit or Load).
 func (m *Model) Compiled() *compiled.Ensemble { return m.comp }
 
-// subsampleRows draws n distinct rows without replacement (partial
-// Fisher-Yates on a fresh index slice).
-func subsampleRows(total, n int, src *rng.Source) []int {
-	if n >= total {
-		rows := make([]int, total)
-		for i := range rows {
-			rows[i] = i
-		}
-		return rows
-	}
-	idx := make([]int, total)
+// drawRows refills idx with 0…len(idx)−1 and draws n distinct rows into
+// its head without replacement (partial Fisher–Yates), returning the
+// head; the rest of idx is the out-of-bag tail. n >= len(idx) takes
+// every row in order and draws nothing.
+func drawRows(idx []int, n int, src *rng.Source) []int {
 	for i := range idx {
 		idx[i] = i
 	}
+	if n >= len(idx) {
+		return idx
+	}
 	for i := 0; i < n; i++ {
-		j := i + src.Intn(total-i)
+		j := i + src.Intn(len(idx)-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:n]

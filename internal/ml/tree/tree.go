@@ -134,20 +134,58 @@ type Tree struct {
 
 // Grow fits a regression tree on the given rows of a pre-binned dataset.
 // binned is feature-major (binned[f][row]), edges come from the Binner,
-// y are the targets, rows are the sample indices to use.
+// y are the targets, rows are the sample indices to use. rows is left
+// untouched: Grow partitions a copy (see Grower for the reusable form).
 func Grow(binned [][]uint8, binner *Binner, y []float64, rows []int, opts Options) (*Tree, error) {
+	var g Grower
+	return g.Grow(binned, binner, y, append([]int(nil), rows...), opts)
+}
+
+// Grower grows trees one after another and reuses its buffers across
+// them: the partition scratch, the per-node candidate and split slices,
+// the node list under construction and the leaf list. A tree it grows is
+// bit-identical to Grow's on the same rows in the same order. A Grower
+// must not be used by two goroutines at once; its zero value is ready.
+type Grower struct {
+	scratch []int
+	// all is the every-feature candidate list 0..nf-1, built once.
+	all    []int
+	splits []splitCandidate
+	nodes  []node
+	leaves []Leaf
+}
+
+// Leaf is one leaf of the last tree a Grower grew, with the rows that
+// reached it while the tree grew.
+type Leaf struct {
+	// Value is the leaf's estimate, the exact float PredictBinned
+	// returns for each of Rows.
+	Value float64
+	// Rows aliases the rows slice passed to Grow.
+	Rows []int
+}
+
+// Grow fits a tree exactly like the package-level Grow, but partitions
+// rows in place: on return each leaf's rows are contiguous in rows, and
+// Leaves lists them. The returned tree shares no memory with the Grower.
+func (g *Grower) Grow(binned [][]uint8, binner *Binner, y []float64, rows []int, opts Options) (*Tree, error) {
 	if len(binned) == 0 || len(rows) == 0 {
 		return nil, errors.New("tree: empty input")
 	}
 	opts = opts.withDefaults()
+	if cap(g.scratch) < len(rows) {
+		g.scratch = make([]int, len(rows))
+	}
+	g.nodes, g.leaves = g.nodes[:0], g.leaves[:0]
 	t := &Tree{Gain: make([]float64, len(binned))}
-	work := append([]int(nil), rows...)
-	// One scratch buffer serves every node's partition: grow recurses on
-	// a single goroutine (only the candidate scans fan out), so the
-	// buffer is never used by two partitions at once.
-	t.grow(binned, binner, y, work, 0, opts, make([]int, len(work)))
+	g.grow(t, binned, binner, y, rows, 0, opts)
+	t.nodes = append([]node(nil), g.nodes...)
 	return t, nil
 }
+
+// Leaves returns the leaves of the last grown tree, left to right. The
+// slice and its Rows are valid until the next Grow.
+func (g *Grower) Leaves() []Leaf { return g.leaves }
 
 // Fit is a convenience for standalone trees: it bins X itself.
 func Fit(X [][]float64, y []float64, opts Options) (*Tree, *Binner, error) {
@@ -164,10 +202,9 @@ func Fit(X [][]float64, y []float64, opts Options) (*Tree, *Binner, error) {
 	return t, binner, err
 }
 
-// grow recursively builds the subtree over rows and returns its node id.
-// scratch is a shared buffer (cap >= len(rows)) used to stage the
-// right-hand rows during the stable in-place partition.
-func (t *Tree) grow(binned [][]uint8, binner *Binner, y []float64, rows []int, depth int, opts Options, scratch []int) int32 {
+// grow recursively builds the subtree over rows into g.nodes, recording
+// Gain in t, and returns its node id. Nodes are numbered in preorder.
+func (g *Grower) grow(t *Tree, binned [][]uint8, binner *Binner, y []float64, rows []int, depth int, opts Options) int32 {
 	var sum, sumsq float64
 	for _, r := range rows {
 		sum += y[r]
@@ -175,29 +212,30 @@ func (t *Tree) grow(binned [][]uint8, binner *Binner, y []float64, rows []int, d
 	}
 	n := float64(len(rows))
 	mean := sum / n
-	id := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{feature: -1, value: mean})
+	id := int32(len(g.nodes))
+	g.nodes = append(g.nodes, node{feature: -1, value: mean})
 
 	if depth >= opts.MaxDepth || len(rows) < 2*opts.MinLeaf {
-		return id
+		return g.leaf(id, rows)
 	}
 	parentSSE := sumsq - sum*sum/n
 
-	features := t.pickFeatures(len(binned), opts)
-	splits := make([]splitCandidate, len(features))
-	scan := func(k int) {
-		splits[k] = scanFeature(binned[features[k]], len(binner.Edges[features[k]])+1,
-			rows, y, sum, n, opts.MinLeaf)
+	// The candidate and split slices are dead before this node recurses,
+	// so one of each serves every node.
+	features := g.candidates(len(binned), opts)
+	if cap(g.splits) < len(features) {
+		g.splits = make([]splitCandidate, len(features))
 	}
-	w := opts.Workers
-	if len(rows) < parallelMinRows || len(features) < 2 {
-		w = 1
-	}
-	if w > 1 {
-		par.Do(w, len(features), scan)
+	splits := g.splits[:len(features)]
+	if opts.Workers > 1 && len(rows) >= parallelMinRows && len(features) >= 2 {
+		par.Do(opts.Workers, len(features), func(k int) {
+			f := features[k]
+			splits[k] = scanFeature(binned[f], len(binner.Edges[f])+1, rows, y, sum, n, opts.MinLeaf)
+		})
 	} else {
-		for k := range features {
-			scan(k)
+		// Inline, so the serial path allocates no closure per node.
+		for k, f := range features {
+			splits[k] = scanFeature(binned[f], len(binner.Edges[f])+1, rows, y, sum, n, opts.MinLeaf)
 		}
 	}
 
@@ -215,7 +253,7 @@ func (t *Tree) grow(binned [][]uint8, binner *Binner, y []float64, rows []int, d
 	}
 
 	if bestFeat < 0 || bestGain <= 1e-12 || parentSSE <= 0 {
-		return id
+		return g.leaf(id, rows)
 	}
 
 	// Stable in-place partition: left rows compact forward into rows
@@ -223,8 +261,11 @@ func (t *Tree) grow(binned [][]uint8, binner *Binner, y []float64, rows []int, d
 	// are staged in the shared scratch buffer and copied back after the
 	// lefts. Row order within each side is exactly what the old
 	// two-append loop produced, so the grown tree is unchanged — but the
-	// per-node left/right allocations are gone.
+	// per-node left/right allocations are gone. grow recurses on a single
+	// goroutine (only the candidate scans fan out), so the scratch buffer
+	// is never used by two partitions at once.
 	col := binned[bestFeat]
+	scratch := g.scratch
 	nl, nr := 0, 0
 	for _, r := range rows {
 		if int(col[r]) <= bestBin {
@@ -236,17 +277,26 @@ func (t *Tree) grow(binned [][]uint8, binner *Binner, y []float64, rows []int, d
 		}
 	}
 	if nl == 0 || nr == 0 {
-		return id
+		return g.leaf(id, rows)
 	}
 	copy(rows[nl:], scratch[:nr])
-	left, right := rows[:nl], rows[nl:]
 
 	t.Gain[bestFeat] += bestGain
-	t.nodes[id].feature = bestFeat
-	t.nodes[id].binThresh = uint8(bestBin)
-	t.nodes[id].threshold = binner.Edges[bestFeat][bestBin]
-	t.nodes[id].left = t.grow(binned, binner, y, left, depth+1, opts, scratch)
-	t.nodes[id].right = t.grow(binned, binner, y, right, depth+1, opts, scratch)
+	nd := &g.nodes[id]
+	nd.feature = bestFeat
+	nd.binThresh = uint8(bestBin)
+	nd.threshold = binner.Edges[bestFeat][bestBin]
+	left := g.grow(t, binned, binner, y, rows[:nl], depth+1, opts)
+	right := g.grow(t, binned, binner, y, rows[nl:], depth+1, opts)
+	g.nodes[id].left, g.nodes[id].right = left, right
+	return id
+}
+
+// leaf records node id, already a leaf, with the rows that reached it.
+// Later partitions touch only other nodes' ranges of the row buffer, so
+// rows keeps its contents until the next Grow.
+func (g *Grower) leaf(id int32, rows []int) int32 {
+	g.leaves = append(g.leaves, Leaf{Value: g.nodes[id].value, Rows: rows})
 	return id
 }
 
@@ -299,15 +349,18 @@ func scanFeature(col []uint8, nb int, rows []int, y []float64, sum, n float64, m
 	return best
 }
 
-// pickFeatures returns the candidate feature set for one split.
-func (t *Tree) pickFeatures(nf int, opts Options) []int {
+// candidates returns the candidate feature set for one split: every
+// feature, or a random FeatureFrac of them drawn from opts.Rng per node.
+func (g *Grower) candidates(nf int, opts Options) []int {
 	k := int(math.Ceil(opts.FeatureFrac * float64(nf)))
 	if k >= nf || opts.Rng == nil {
-		all := make([]int, nf)
-		for i := range all {
-			all[i] = i
+		if len(g.all) != nf {
+			g.all = make([]int, nf)
+			for i := range g.all {
+				g.all[i] = i
+			}
 		}
-		return all
+		return g.all
 	}
 	perm := opts.Rng.Perm(nf)
 	return perm[:k]

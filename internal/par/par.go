@@ -14,6 +14,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a worker-count knob: n > 0 is used as given, anything
@@ -42,11 +43,23 @@ func Bound(w, n, min int) int {
 }
 
 // Do runs fn(i) for every i in [0, n) on up to w goroutines and waits
-// for all of them. Tasks are dealt in contiguous chunks; with w <= 1 (or
-// n <= 1) everything runs inline on the caller's goroutine.
+// for all of them. Tasks are dealt in index order to whichever worker is
+// free next, so a slow task never holds back one queued behind it while
+// another worker idles; with w <= 1 (or n <= 1) everything runs inline
+// on the caller's goroutine, in index order.
 func Do(w, n int, fn func(i int)) {
-	Chunks(w, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	if w > n {
+		w = n
+	}
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	spawn(w, func(int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			fn(i)
 		}
 	})
@@ -66,23 +79,38 @@ func Chunks(w, n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
+	// Deal ceil/floor-sized spans so lengths differ by at most one.
+	base, rem := n/w, n%w
+	spawn(w, func(k int) {
+		lo := k*base + min(k, rem)
+		hi := lo + base
+		if k < rem {
+			hi++
+		}
+		fn(lo, hi)
+	})
+}
+
+// spawn runs fn(k) for every k in [0, w) on its own goroutine and waits
+// for all of them. A panic in any of them is re-raised on the caller's
+// goroutine once every one has returned (the lowest k's, when several
+// panic), so a caller that recovers panics still contains one raised on
+// a worker.
+func spawn(w int, fn func(k int)) {
+	panics := make([]any, w)
 	var wg sync.WaitGroup
 	wg.Add(w)
-	// Deal ceil/floor-sized spans so lengths differ by at most one.
-	base := n / w
-	rem := n % w
-	lo := 0
 	for k := 0; k < w; k++ {
-		size := base
-		if k < rem {
-			size++
-		}
-		hi := lo + size
-		go func(lo, hi int) {
+		go func(k int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-		lo = hi
+			defer func() { panics[k] = recover() }()
+			fn(k)
+		}(k)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

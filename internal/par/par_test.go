@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -90,9 +91,60 @@ func TestChunksPartition(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// TestDoDealsToFreeWorker: a slow task must not hold back the tasks
+// after it while another worker is free. Task 0 blocks until tasks 1–3
+// have all run; with two workers that finishes only if the free worker
+// takes every later task in turn (contiguous dealing would queue task 1
+// behind task 0).
+func TestDoDealsToFreeWorker(t *testing.T) {
+	var done atomic.Int32
+	released := make(chan struct{})
+	timedOut := false
+	Do(2, 4, func(i int) {
+		if i != 0 {
+			if done.Add(1) == 3 {
+				close(released)
+			}
+			return
+		}
+		select {
+		case <-released:
+		case <-time.After(5 * time.Second):
+			timedOut = true
+		}
+	})
+	if timedOut {
+		t.Fatal("task 0 held back the tasks after it")
 	}
-	return b
+}
+
+// TestWorkerPanicReachesCaller: a panic on a worker goroutine is
+// re-raised on the caller's once every worker has returned, so the
+// caller can recover it.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	for name, run := range map[string]func(){
+		"Do": func() {
+			Do(3, 9, func(i int) {
+				if i == 4 {
+					panic("boom")
+				}
+			})
+		},
+		"Chunks": func() {
+			Chunks(3, 9, func(lo, hi int) {
+				if lo == 0 {
+					panic("boom")
+				}
+			})
+		},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("%s: recovered %v, want boom", name, r)
+				}
+			}()
+			run()
+		}()
+	}
 }
