@@ -74,9 +74,9 @@ parity:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# Machine-readable serial-vs-parallel speedup report (generate / train /
-# predict). The JSON records num_cpu and go_max_procs so speedups are
-# auditable against the hardware they ran on.
+# Machine-readable serial-vs-parallel speedup report (generate /
+# train_chain / predict). The JSON records num_cpu and go_max_procs so
+# speedups are auditable against the hardware they ran on.
 bench-json:
 	$(GO) run ./cmd/lumosbench -parbench BENCH_parallel.json
 

@@ -17,12 +17,12 @@ import (
 )
 
 // The -parbench mode proves out the deterministic worker-pool layer: it
-// times the parallelised hot paths — campaign generation, one GBDT fit,
-// the default fallback chain's training, batch prediction — serial
-// versus parallel, verifies the outputs agree, and writes the numbers
-// as machine-readable JSON. On a single-core machine the speedups hover
-// around 1× (the report records num_cpu so that is auditable);
-// correctness is asserted regardless.
+// times the parallelised hot paths — campaign generation, the default
+// fallback chain's training, batch prediction — serial versus parallel,
+// verifies the outputs agree, and writes the numbers as machine-readable
+// JSON. On a single-core machine the speedups hover around 1× (the
+// report records num_cpu so that is auditable); correctness is asserted
+// regardless.
 
 // parBenchEntry is one serial-vs-parallel timing pair.
 type parBenchEntry struct {
@@ -101,36 +101,10 @@ func runParBench(path string, workers int, seed uint64) error {
 	rep.Benchmarks = append(rep.Benchmarks,
 		entry("generate", len(serialD.Records), serialGen, parGen, genSame))
 
-	// Train: GBDT on the cleaned campaign's L+M feature matrix, one
-	// worker vs the pool. Fitted models must predict identically.
-	clean, _ := serialD.QualityFilter()
-	mat := features.Build(clean, features.GroupLM)
-	gcfg := gbdt.Config{Estimators: 60, MaxDepth: 6, Seed: seed}
-	gcfg.Workers = 1
-	serialM := gbdt.New(gcfg)
-	start = time.Now()
-	if err := serialM.Fit(mat.X, mat.Y); err != nil {
-		return fmt.Errorf("parbench: serial fit: %w", err)
-	}
-	serialFit := time.Since(start)
-	gcfg.Workers = workers
-	parM := gbdt.New(gcfg)
-	start = time.Now()
-	if err := parM.Fit(mat.X, mat.Y); err != nil {
-		return fmt.Errorf("parbench: parallel fit: %w", err)
-	}
-	parFit := time.Since(start)
-	fitSame := true
-	for i := 0; fitSame && i < len(mat.X); i++ {
-		fitSame = serialM.Predict(mat.X[i]) == parM.Predict(mat.X[i])
-	}
-	rep.Benchmarks = append(rep.Benchmarks,
-		entry("train", len(mat.X), serialFit, parFit, fitSame))
-
 	// Train chain: the default chain the daemons serve (calibrated GDBT
 	// tiers L+M+C → L+M → L over the default generated city), with one
-	// worker vs the pool. The worker count bounds both how many tiers
-	// train at once and the loops inside each fit; the chains must save
+	// worker vs the pool. The worker count bounds how many tiers train at
+	// once (each fit runs on its tier's goroutine); the chains must save
 	// to the same bytes.
 	city := cityscape.Generate(cityscape.Config{Seed: seed})
 	citySc := city.Mixed(24, seed)
@@ -161,15 +135,22 @@ func runParBench(path string, workers int, seed uint64) error {
 	rep.Benchmarks = append(rep.Benchmarks,
 		entry("train_chain", cityD.Len(), serialChainT, parChainT, bytes.Equal(serialChain, parChain)))
 
-	// Predict: per-row Predict loop vs PredictBatch on the same model.
+	// Predict: per-row Predict loop vs PredictBatch on one GBDT fitted
+	// to the cleaned campaign's L+M feature matrix.
+	clean, _ := serialD.QualityFilter()
+	mat := features.Build(clean, features.GroupLM)
+	m := gbdt.New(gbdt.Config{Estimators: 60, MaxDepth: 6, Seed: seed, Workers: workers})
+	if err := m.Fit(mat.X, mat.Y); err != nil {
+		return fmt.Errorf("parbench: fit: %w", err)
+	}
 	start = time.Now()
 	serialPred := make([]float64, len(mat.X))
 	for i, x := range mat.X {
-		serialPred[i] = parM.Predict(x)
+		serialPred[i] = m.Predict(x)
 	}
 	serialBatch := time.Since(start)
 	start = time.Now()
-	parPred := parM.PredictBatch(mat.X)
+	parPred := m.PredictBatch(mat.X)
 	parBatch := time.Since(start)
 	predSame := len(serialPred) == len(parPred)
 	for i := 0; predSame && i < len(serialPred); i++ {

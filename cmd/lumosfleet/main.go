@@ -99,7 +99,7 @@ func main() {
 	ingestOn := flag.Bool("ingest", false, "accept streamed samples on POST /ingest, routed to the owning shard; each replica refits on its own slice")
 	refitInterval := flag.Duration("refit-interval", 30*time.Second, "how often each replica's refit loop retrains on its ingest window")
 	refitGate := flag.Float64("refit-gate", 0.10, "holdout gate: reject a candidate whose MAE regresses past the live model by this fraction")
-	refitWorkers := flag.Int("refit-workers", 0, "trainer parallelism for each replica's refits: bounds both the chain tiers trained at once and the loops inside each fit; 0 = one worker per CPU (fits are byte-identical for any count)")
+	refitWorkers := flag.Int("refit-workers", 0, "trainer parallelism for each replica's refits: how many chain tiers train at once; 0 = one worker per CPU (fits are byte-identical for any count)")
 	ingestCellCap := flag.Int("ingest-cell-cap", 0, "max window samples per grid cell on each replica, evicting oldest-in-cell (0 = unlimited)")
 	flag.Parse()
 

@@ -67,11 +67,12 @@ func TestChainTierWorkerParity(t *testing.T) {
 }
 
 // TestChainTierParallelErrors: the chain reports the first failing
-// group in group order — when every tier fails (an unsupported model),
-// and when a connection feature is missing, at one worker and with the
-// tiers training concurrently: L+M+C then fails on its non-finite
-// column and fails the chain, as it did when tiers trained one after
-// another (only a group with no usable rows is skipped).
+// group in group order when every tier fails (an unsupported model).
+// A missing connection feature fails nothing: a record with an absent
+// LTE sensor is unusable under L+M+C, so with every RSRP NaN that tier
+// has no usable rows and is skipped, and with every other one NaN it
+// trains on the finite half, at one worker and with the tiers training
+// concurrently alike.
 func TestChainTierParallelErrors(t *testing.T) {
 	a, _ := AreaByName("Airport")
 	d, _ := CleanDataset(GenerateArea(a, tinyCampaign()))
@@ -85,16 +86,24 @@ func TestChainTierParallelErrors(t *testing.T) {
 		}
 	}
 
-	noLTE, _ := CleanDataset(GenerateArea(a, tinyCampaign()))
-	for i := range noLTE.Records {
-		noLTE.Records[i].LteRsrp = math.NaN()
-	}
-	for _, w := range []int{1, 0} {
-		sc := testScale()
-		sc.GBDT.Workers = w
-		_, err := TrainCalibratedFallbackChain(noLTE, nil, ModelGDBT, sc)
-		if err == nil || !strings.Contains(err.Error(), "tier L+M+C: ml: non-finite feature") {
-			t.Fatalf("workers %d: err %v, want the L+M+C tier's non-finite feature error", w, err)
+	for _, c := range []struct {
+		every int
+		tiers string
+	}{{1, "L+M L HM"}, {2, "L+M+C L+M L HM"}} {
+		noLTE, _ := CleanDataset(GenerateArea(a, tinyCampaign()))
+		for i := 0; i < len(noLTE.Records); i += c.every {
+			noLTE.Records[i].LteRsrp = math.NaN()
+		}
+		serial := chainBytes(t, TrainCalibratedFallbackChain, noLTE, nil, 1)
+		if par := chainBytes(t, TrainCalibratedFallbackChain, noLTE, nil, 0); !bytes.Equal(serial, par) {
+			t.Fatalf("every %d RSRP NaN: Workers 0 chain differs from Workers 1", c.every)
+		}
+		ch, err := LoadChain(bytes.NewReader(serial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(ch.TierNames(), " "); got != c.tiers {
+			t.Fatalf("every %d RSRP NaN: tiers %s, want %s", c.every, got, c.tiers)
 		}
 	}
 }

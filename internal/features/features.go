@@ -93,14 +93,6 @@ func ParseGroup(s string) (Group, error) {
 	return 0, fmt.Errorf("features: unknown group %q", s)
 }
 
-// usesT reports whether the group needs surveyed panel information.
-func (g Group) usesT() bool {
-	return g == GroupT || g == GroupTM || g == GroupTMC
-}
-
-// usesC reports whether the group includes connection features.
-func (g Group) usesC() bool { return g.UsesConnection() }
-
 // UsesConnection reports whether the group includes connection (C)
 // features — past throughput and PHY-layer state. Sequence models prime
 // their decoder with the last observed throughput only for these groups,
@@ -132,25 +124,53 @@ type Matrix struct {
 	RecordIdx []int
 }
 
-// Build vectorises d under the given feature group. Records lacking the
-// required fields (tower features in unsurveyed areas) are skipped.
-// Past-throughput features are derived per trace in time order.
+// Build vectorises d under the given feature group. Records not usable
+// under g (see appendUsable) are skipped. Past-throughput features are
+// derived per trace in time order. The rows are carved from one backing
+// slice, so the matrix costs a fixed number of allocations whatever its
+// size; each row's capacity ends at its width, so an append to one row
+// cannot overwrite the next.
 func Build(d *dataset.Dataset, g Group) *Matrix {
 	names := featureNames(g)
-	m := &Matrix{Names: names}
+	w, n := len(names), len(d.Records)
+	m := &Matrix{
+		Names:     names,
+		X:         make([][]float64, 0, n),
+		Y:         make([]float64, 0, n),
+		RecordIdx: make([]int, 0, n),
+	}
 	past := pastThroughputs(d)
+	slab := make([]float64, n*w)
 	for i := range d.Records {
 		r := &d.Records[i]
-		if g.usesT() && !r.HasPanelInfo() {
+		off := len(m.X) * w
+		row, ok := appendUsable(slab[off:off:off+w], r, g, past[i])
+		if !ok {
 			continue
 		}
-		row := make([]float64, 0, len(names))
-		row = appendFeatures(row, r, g, past[i])
 		m.X = append(m.X, row)
 		m.Y = append(m.Y, r.ThroughputMbps)
 		m.RecordIdx = append(m.RecordIdx, i)
 	}
 	return m
+}
+
+// appendUsable appends r's feature values under g to row and reports
+// whether r is usable under g: every value it yields is finite, the test
+// ml.ValidateXY applies to a training row. So a tower group skips a
+// record without surveyed panel information (NaN panel fields), and a
+// connection group one whose LTE sensor was absent (NaN RSRP): a missing
+// sensor drops the record, or a whole tier that has no usable record
+// left, instead of failing the fit.
+func appendUsable(row []float64, r *dataset.Record, g Group, past pastInfo) ([]float64, bool) {
+	start := len(row)
+	row = appendFeatures(row, r, g, past)
+	for _, v := range row[start:] {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return row, false
+		}
+	}
+	return row, true
 }
 
 // featureNames returns the column names for a group.
@@ -211,8 +231,9 @@ type pastInfo struct {
 
 // pastThroughputs computes, for every record index, the previous
 // throughput and the harmonic mean of the last PastWindow throughputs
-// within the same trace. The first record of a trace uses its own value
-// (no history yet), mirroring how an app warms up its estimator.
+// within the same trace: the inclusive history of the trace's previous
+// second. The first record of a trace uses its own value (no history
+// yet), mirroring how an app warms up its estimator.
 func pastThroughputs(d *dataset.Dataset) []pastInfo {
 	out := make([]pastInfo, len(d.Records))
 	// Group record indices per trace, ordered by second.
@@ -226,29 +247,14 @@ func pastThroughputs(d *dataset.Dataset) []pastInfo {
 		sort.Slice(idxs, func(a, b int) bool {
 			return d.Records[idxs[a]].Second < d.Records[idxs[b]].Second
 		})
-		var hist []float64
-		for _, i := range idxs {
-			cur := d.Records[i].ThroughputMbps
-			if len(hist) == 0 {
+		inclusive := inclusivePast(d, idxs)
+		for pos, i := range idxs {
+			if pos == 0 {
+				cur := d.Records[i].ThroughputMbps
 				out[i] = pastInfo{last: cur, hmean: cur}
 			} else {
-				w := len(hist)
-				if w > PastWindow {
-					w = PastWindow
-				}
-				var invSum float64
-				for _, v := range hist[len(hist)-w:] {
-					if v < 0.1 {
-						v = 0.1
-					}
-					invSum += 1 / v
-				}
-				out[i] = pastInfo{
-					last:  hist[len(hist)-1],
-					hmean: float64(w) / invSum,
-				}
+				out[i] = inclusive[pos-1]
 			}
-			hist = append(hist, cur)
 		}
 	}
 	return out

@@ -92,6 +92,50 @@ func TestBuildSkipsTWithoutPanelInfo(t *testing.T) {
 	}
 }
 
+// TestBuildAllocsIndependentOfRows: Build carves every row from one
+// backing slice, so sixteen times the rows cost no more than the few
+// allocations the per-trace history slices need to grow (one per row
+// when each row was its own slice).
+func TestBuildAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) float64 {
+		d := &dataset.Dataset{}
+		for s := 0; s < n; s++ {
+			d.Append(dataset.Record{
+				Area: "A", Trajectory: "T", Second: s,
+				ThroughputMbps: float64(100 + s%50), Radio: radio.RadioNR,
+				LteRsrp: -90, LteRsrq: -10, LteRssi: -60,
+				SSRsrp: -85, SSRsrq: -11, SSSinr: 15,
+			})
+		}
+		return testing.AllocsPerRun(3, func() { Build(d, GroupLMC) })
+	}
+	small, large := allocs(250), allocs(4000)
+	t.Logf("%v allocs at 250 rows, %v at 4000", small, large)
+	if large > small+16 {
+		t.Fatalf("Build allocates %v for 250 rows but %v for 4000", small, large)
+	}
+}
+
+// TestBuildSkipsNonFiniteRecords: a record is usable under a group only
+// when every value it yields is finite, so an absent LTE sensor drops
+// the record from the connection groups and from no other.
+func TestBuildSkipsNonFiniteRecords(t *testing.T) {
+	d := testData(t)
+	nan := math.NaN()
+	d.Records[0].LteRsrp = nan
+	d.Records[1].SpeedKmh = nan
+	full := len(d.Records)
+	for _, c := range []struct {
+		g    Group
+		rows int
+	}{{GroupL, full}, {GroupLM, full - 1}, {GroupLMC, full - 2}} {
+		m := Build(d, c.g)
+		if len(m.X) != c.rows {
+			t.Fatalf("%v: %d rows, want %d", c.g, len(m.X), c.rows)
+		}
+	}
+}
+
 func TestSentinelImputation(t *testing.T) {
 	d := testData(t)
 	m := Build(d, GroupLMC)

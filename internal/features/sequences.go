@@ -78,10 +78,14 @@ func BuildSequences(d *dataset.Dataset, g Group, seqLen, outLen int) *SequenceSe
 		// measured throughput (plus the inclusive harmonic mean) — the
 		// sequence-of-history view the paper's Seq2Seq consumes.
 		inclusive := inclusivePast(d, idxs)
-		// Precompute usability per position.
+		// Precompute usability per position. A window's final step pairs
+		// the record at tpos with the history at tpos-1, both positions
+		// of the window, so every step of a window of usable positions
+		// is finite.
 		usable := make([]bool, len(idxs))
+		scratch := make([]float64, 0, len(set.Names))
 		for pos, i := range idxs {
-			usable[pos] = !g.usesT() || d.Records[i].HasPanelInfo()
+			_, usable[pos] = appendUsable(scratch, &d.Records[i], g, inclusive[pos])
 		}
 		// The window's last position tpos is the first predicted second.
 		for start := 0; start+seqLen+outLen-1 <= len(idxs); start++ {

@@ -63,12 +63,12 @@ type RefitConfig struct {
 	// Seed for split and training determinism; the refit sequence
 	// number is folded in so successive refits resample.
 	Seed uint64
-	// Workers bounds the trainer's parallelism (internal/par), exactly
-	// like offline training: n>0 uses n workers, 0 uses one worker per
-	// CPU. It bounds both how many chain tiers train at once and the
-	// parallel loops inside each tier's fit, so 1 keeps a refit on one
-	// core. The fit is byte-identical for every worker count, so this
-	// only changes how fast a refit trains.
+	// Workers bounds how many chain tiers a refit trains at once,
+	// exactly like offline training: n>0 uses n workers, 0 uses one
+	// worker per CPU, and 1 keeps a refit on one core (each GBDT fit
+	// runs on its tier's goroutine; a random forest also grows up to
+	// n trees at once). The fit is byte-identical for every worker
+	// count, so this only changes how fast a refit trains.
 	Workers int
 	// ArtifactPath, when set, is where accepted generations live: the
 	// candidate is written to ArtifactPath+".candidate", and promoted

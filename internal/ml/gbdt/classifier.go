@@ -6,7 +6,6 @@ import (
 
 	"lumos5g/internal/ml"
 	"lumos5g/internal/ml/tree"
-	"lumos5g/internal/par"
 	"lumos5g/internal/rng"
 )
 
@@ -75,7 +74,7 @@ func (c *Classifier) FitLabels(X [][]float64, labels []int) error {
 		nSub = n
 	}
 
-	workers := par.Bound(par.Workers(cfg.Workers), n, batchMinRows)
+	probs := make([]float64, K)
 	idx := make([]int, n)
 	var trees [][]*tree.Tree
 	for round := 0; round < cfg.Estimators; round++ {
@@ -85,21 +84,17 @@ func (c *Classifier) FitLabels(X [][]float64, labels []int) error {
 		rows := drawRows(idx, nSub, src)
 		for k := 0; k < K; k++ {
 			// Negative gradient of multinomial deviance: y_k - p_k.
-			par.Chunks(workers, n, func(lo, hi int) {
-				probs := make([]float64, K)
-				for i := lo; i < hi; i++ {
-					softmaxInto(scores[i], probs)
-					indicator := 0.0
-					if labels[i] == k {
-						indicator = 1
-					}
-					grad[i] = indicator - probs[k]
+			for i := range grad {
+				softmaxInto(scores[i], probs)
+				indicator := 0.0
+				if labels[i] == k {
+					indicator = 1
 				}
-			})
+				grad[i] = indicator - probs[k]
+			}
 			t, err := tree.Grow(binned, binner, grad, rows, tree.Options{
 				MaxDepth: cfg.MaxDepth,
 				MinLeaf:  cfg.MinLeaf,
-				Workers:  par.Workers(cfg.Workers),
 			})
 			if err != nil {
 				return err
@@ -108,13 +103,10 @@ func (c *Classifier) FitLabels(X [][]float64, labels []int) error {
 		}
 		// Update all class scores after the round so classes within a
 		// round see consistent probabilities.
-		for k := 0; k < K; k++ {
-			tk := roundTrees[k]
-			par.Chunks(workers, n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					scores[i][k] += cfg.LearningRate * tk.PredictBinned(binned, i)
-				}
-			})
+		for k, tk := range roundTrees {
+			for i := range scores {
+				scores[i][k] += cfg.LearningRate * tk.PredictBinned(binned, i)
+			}
 		}
 		trees = append(trees, roundTrees)
 	}

@@ -34,15 +34,13 @@ type Config struct {
 	Subsample float64
 	// Seed drives subsampling.
 	Seed uint64
-	// Workers bounds intra-round concurrency (candidate-split scans,
-	// the residual and out-of-bag prediction-update row loops,
-	// PredictBatch); <=0 means one worker per CPU. Boosting rounds
-	// themselves stay sequential — round k+1 consumes round k's
-	// residuals — and every parallel loop writes only per-index state,
-	// so the fitted model is bit-identical for every worker count. The
-	// chain trainers (lumos5g.TrainFallbackChain and
-	// TrainCalibratedFallbackChain) also train at most Workers tiers at
-	// once, so 1 keeps a whole chain's training on one core.
+	// Workers bounds how many chain tiers train at once (the chain
+	// trainers lumos5g.TrainFallbackChain and
+	// TrainCalibratedFallbackChain) and PredictBatch's row fan-out; <=0
+	// means one worker per CPU, and 1 keeps a whole chain's training on
+	// one core. A single Fit runs on its caller's goroutine whatever the
+	// count: boosting rounds are sequential (round k+1 consumes round
+	// k's residuals), so the fitted model is the same for every count.
 	Workers int
 }
 
@@ -122,26 +120,18 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 		nSub = len(y)
 	}
 
-	// Rounds are inherently sequential; the parallelism lives inside a
-	// round. The row loops write only their own element, so chunking
-	// them changes nothing about the floats produced. One index buffer
-	// and one grower serve every round: drawRows refills the buffer, the
-	// grower partitions its in-bag head in place, and the out-of-bag
-	// tail stays as drawn.
-	workers := par.Bound(par.Workers(cfg.Workers), len(y), batchMinRows)
-	oobWorkers := par.Bound(par.Workers(cfg.Workers), len(y)-nSub, batchMinRows)
+	// One index buffer and one grower serve every round: drawRows
+	// refills the buffer, the grower partitions its in-bag head in
+	// place, and the out-of-bag tail stays as drawn.
 	idx := make([]int, len(y))
 	var g tree.Grower
 	for round := 0; round < cfg.Estimators; round++ {
-		par.Chunks(workers, len(y), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				resid[i] = y[i] - pred[i]
-			}
-		})
+		for i := range resid {
+			resid[i] = y[i] - pred[i]
+		}
 		t, err := g.Grow(binned, binner, resid, drawRows(idx, nSub, src), tree.Options{
 			MaxDepth: cfg.MaxDepth,
 			MinLeaf:  cfg.MinLeaf,
-			Workers:  par.Workers(cfg.Workers),
 		})
 		if err != nil {
 			return err
@@ -154,12 +144,9 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 				pred[i] += cfg.LearningRate * lf.Value
 			}
 		}
-		oob := idx[nSub:]
-		par.Chunks(oobWorkers, len(oob), func(lo, hi int) {
-			for _, i := range oob[lo:hi] {
-				pred[i] += cfg.LearningRate * t.PredictBinned(binned, i)
-			}
-		})
+		for _, i := range idx[nSub:] {
+			pred[i] += cfg.LearningRate * t.PredictBinned(binned, i)
+		}
 		for f, gain := range t.Gain {
 			featGain[f] += gain
 		}

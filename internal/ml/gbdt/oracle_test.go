@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lumos5g/internal/ml/tree"
-	"lumos5g/internal/par"
 	"lumos5g/internal/rng"
 )
 
@@ -42,7 +41,6 @@ func oracleFit(cfg Config, X [][]float64, y []float64) (base float64, trees []*t
 		t, err := tree.Grow(binned, binner, resid, oracleSubsample(len(y), nSub, src), tree.Options{
 			MaxDepth: cfg.MaxDepth,
 			MinLeaf:  cfg.MinLeaf,
-			Workers:  par.Workers(cfg.Workers),
 		})
 		if err != nil {
 			panic(err)
@@ -125,8 +123,10 @@ func checkMatchesOracle(t *testing.T, m *Model, X [][]float64, y []float64) {
 // TestFitRoundLoopOracleParity pins Fit's reused buffers and by-leaf
 // row credit to the fresh-buffer, walk-every-row round loop: the fitted
 // model must be bit-identical with out-of-bag rows and without, when
-// MinLeaf ends branches early, at one worker and with the parallel
-// candidate scans, and on a model value refitted on new data.
+// MinLeaf ends branches early, at one worker and at four (the "parallel
+// scans" case, named for the per-feature fan-out Fit once had: Workers
+// must leave a fit unchanged), and on a model value refitted on new
+// data.
 func TestFitRoundLoopOracleParity(t *testing.T) {
 	X, y := synthData(61, 3000)
 	cases := []struct {

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestGBDTWorkerCountParity: 2500+ rows trigger the parallel
-// candidate-split scan inside tree growth and the chunked residual
-// loops; the fitted model must still be bit-identical to one worker.
+// TestGBDTWorkerCountParity: a fit runs on its caller's goroutine at
+// every worker count, so on 2,500 rows (nodes large enough that any
+// fan-out inside growth would engage) the fitted model must be
+// bit-identical to one worker's.
 func TestGBDTWorkerCountParity(t *testing.T) {
 	X, y := synthData(41, 2500)
 	Xt, _ := synthData(42, 300)
@@ -39,6 +40,26 @@ func TestGBDTWorkerCountParity(t *testing.T) {
 				t.Fatalf("workers=%d: feature %d importance %v != %v", w, f, gotImp[f], wantImp[f])
 			}
 		}
+	}
+}
+
+// TestFitWorkerAllocParity pins that nothing fans out inside a fit: a
+// Fit at Workers 4 allocates what the same Fit at Workers 1 does, so it
+// starts no goroutine and builds no per-round closure. The slack absorbs
+// the race detector's wobble of an allocation or two.
+func TestFitWorkerAllocParity(t *testing.T) {
+	X, y := synthData(44, 3000)
+	allocs := func(workers int) float64 {
+		m := New(Config{Estimators: 10, MaxDepth: 5, Seed: 6, Workers: workers})
+		return testing.AllocsPerRun(5, func() {
+			if err := m.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	serial, par := allocs(1), allocs(4)
+	if math.Abs(par-serial) > 4 {
+		t.Fatalf("Fit allocates %v at Workers 4, %v at Workers 1", par, serial)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 
-	"lumos5g/internal/par"
 	"lumos5g/internal/rng"
 )
 
@@ -29,13 +28,6 @@ type Options struct {
 	// Rng supplies randomness for feature subsampling; may be nil when
 	// FeatureFrac covers all features.
 	Rng *rng.Source
-	// Workers enables candidate-split parallelism: at nodes with at
-	// least parallelMinRows samples the per-feature histogram scans run
-	// on up to Workers goroutines. Each feature's best split is computed
-	// independently and the winner is reduced serially in candidate
-	// order, so the grown tree is bit-identical to a serial fit
-	// (including tie-breaks). <=1 means serial.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -142,15 +134,14 @@ func Grow(binned [][]uint8, binner *Binner, y []float64, rows []int, opts Option
 }
 
 // Grower grows trees one after another and reuses its buffers across
-// them: the partition scratch, the per-node candidate and split slices,
-// the node list under construction and the leaf list. A tree it grows is
+// them: the partition scratch, the every-feature candidate list, the
+// node list under construction and the leaf list. A tree it grows is
 // bit-identical to Grow's on the same rows in the same order. A Grower
 // must not be used by two goroutines at once; its zero value is ready.
 type Grower struct {
 	scratch []int
 	// all is the every-feature candidate list 0..nf-1, built once.
 	all    []int
-	splits []splitCandidate
 	nodes  []node
 	leaves []Leaf
 }
@@ -220,34 +211,15 @@ func (g *Grower) grow(t *Tree, binned [][]uint8, binner *Binner, y []float64, ro
 	}
 	parentSSE := sumsq - sum*sum/n
 
-	// The candidate and split slices are dead before this node recurses,
-	// so one of each serves every node.
-	features := g.candidates(len(binned), opts)
-	if cap(g.splits) < len(features) {
-		g.splits = make([]splitCandidate, len(features))
-	}
-	splits := g.splits[:len(features)]
-	if opts.Workers > 1 && len(rows) >= parallelMinRows && len(features) >= 2 {
-		par.Do(opts.Workers, len(features), func(k int) {
-			f := features[k]
-			splits[k] = scanFeature(binned[f], len(binner.Edges[f])+1, rows, y, sum, n, opts.MinLeaf)
-		})
-	} else {
-		// Inline, so the serial path allocates no closure per node.
-		for k, f := range features {
-			splits[k] = scanFeature(binned[f], len(binner.Edges[f])+1, rows, y, sum, n, opts.MinLeaf)
-		}
-	}
-
-	// Serial reduction in candidate order: a strictly greater gain wins,
-	// so ties resolve to the earliest candidate exactly as the serial
-	// scan did.
+	// Scan the candidates in order: a strictly greater gain wins, so
+	// ties resolve to the earliest candidate.
 	bestFeat, bestBin := -1, 0
 	bestGain := 1e-12
-	for k, sp := range splits {
+	for _, f := range g.candidates(len(binned), opts) {
+		sp := scanFeature(binned[f], len(binner.Edges[f])+1, rows, y, sum, n, opts.MinLeaf)
 		if sp.gain > bestGain {
 			bestGain = sp.gain
-			bestFeat = features[k]
+			bestFeat = f
 			bestBin = sp.bin
 		}
 	}
@@ -261,9 +233,9 @@ func (g *Grower) grow(t *Tree, binned [][]uint8, binner *Binner, y []float64, ro
 	// are staged in the shared scratch buffer and copied back after the
 	// lefts. Row order within each side is exactly what the old
 	// two-append loop produced, so the grown tree is unchanged — but the
-	// per-node left/right allocations are gone. grow recurses on a single
-	// goroutine (only the candidate scans fan out), so the scratch buffer
-	// is never used by two partitions at once.
+	// per-node left/right allocations are gone. grow runs on a single
+	// goroutine, so the scratch buffer is never used by two partitions at
+	// once.
 	col := binned[bestFeat]
 	scratch := g.scratch
 	nl, nr := 0, 0
@@ -300,11 +272,6 @@ func (g *Grower) leaf(id int32, rows []int) int32 {
 	return id
 }
 
-// parallelMinRows is the node size below which the candidate-split scan
-// stays serial: with fewer samples the histogram passes are too cheap to
-// amortise a goroutine handoff.
-const parallelMinRows = 2048
-
 // splitCandidate is one feature's best split: gain <= 0 means the
 // feature offers no admissible split.
 type splitCandidate struct {
@@ -313,9 +280,7 @@ type splitCandidate struct {
 }
 
 // scanFeature computes the best split of one binned feature column over
-// rows. It touches only its arguments and its return value, so any
-// number of scans may run concurrently; each produces the same floats as
-// the serial loop did.
+// rows.
 func scanFeature(col []uint8, nb int, rows []int, y []float64, sum, n float64, minLeaf int) splitCandidate {
 	best := splitCandidate{gain: 0}
 	if nb < 2 {
