@@ -10,14 +10,16 @@
 # fuzz` runs the parser/artifact/wire fuzz targets for a short burst — not
 # part of tier1, but run it after touching the CSV loader, the model
 # artifact codec, the binary batch frames or the JSON request decoders.
+# `make unlinked` lists the functions no binary links (code only tests
+# run).
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: tier1 build vet test race race-core race-parallel race-fleet race-ingest race-load race-abr parity bench bench-json bench-serve bench-fleet bench-ingest bench-load bench-abr fmt fuzz
+.PHONY: tier1 build vet test race race-core race-parallel race-fleet race-ingest race-load race-abr parity bench bench-json bench-serve bench-fleet bench-ingest bench-load bench-abr fmt fuzz unlinked
 
 tier1: ## gofmt + build + selftest + vet + race-enabled test suite (run `make fuzz` too when touching parsers)
-	test -z "$$(gofmt -l cmd internal examples *.go)"
+	test -z "$$(gofmt -l cmd internal examples tools *.go)"
 	$(GO) build ./... && $(GO) build -o bin/lumosbench ./cmd/lumosbench && ./bin/lumosbench -selftest && $(GO) vet ./... && $(GO) test -race ./...
 
 build:
@@ -130,4 +132,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/wire
 
 fmt:
-	gofmt -w ./cmd ./internal ./examples *.go
+	gofmt -w ./cmd ./internal ./examples ./tools *.go
+
+# Every function no binary links: the five cmd/ binaries, the four
+# examples and e2ebench are built with inlining off, their `go tool nm`
+# symbols are matched against every non-test function declaration
+# outside e2ebench/ and tools/, and each function missing from all of
+# them is printed with its length and position, then the totals.
+unlinked:
+	$(GO) run tools/unlinked.go

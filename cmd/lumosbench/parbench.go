@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"lumos5g"
@@ -24,10 +25,17 @@ import (
 // report records num_cpu so that is auditable); correctness is asserted
 // regardless.
 
-// parBenchEntry is one serial-vs-parallel timing pair.
+// parBenchRuns is how many times each side of every entry is timed. The
+// sides alternate which runs first and the report keeps each side's
+// median, so one noisy run on a shared machine does not set a speedup.
+const parBenchRuns = 7
+
+// parBenchEntry is one serial-vs-parallel timing pair. The seconds are
+// the median of Runs timings per side.
 type parBenchEntry struct {
 	Name               string  `json:"name"`
 	Rows               int     `json:"rows"`
+	Runs               int     `json:"runs"`
 	SerialSeconds      float64 `json:"serial_seconds"`
 	ParallelSeconds    float64 `json:"parallel_seconds"`
 	Speedup            float64 `json:"speedup"`
@@ -51,7 +59,7 @@ type parBenchReport struct {
 func entry(name string, rows int, serial, parallel time.Duration, identical bool) parBenchEntry {
 	ss, ps := serial.Seconds(), parallel.Seconds()
 	e := parBenchEntry{
-		Name: name, Rows: rows,
+		Name: name, Rows: rows, Runs: parBenchRuns,
 		SerialSeconds: ss, ParallelSeconds: ps,
 		Identical: identical,
 	}
@@ -63,6 +71,30 @@ func entry(name string, rows int, serial, parallel time.Duration, identical bool
 		e.SerialRowsPerSec = float64(rows) / ss
 	}
 	return e
+}
+
+// medianPair times serial and parallel parBenchRuns times each,
+// alternating which side runs first, and returns each side's median.
+func medianPair(serial, parallel func() error) (time.Duration, time.Duration, error) {
+	sides := [2]struct {
+		run   func() error
+		times []time.Duration
+	}{{run: serial}, {run: parallel}}
+	for i := 0; i < parBenchRuns; i++ {
+		for j := 0; j < 2; j++ {
+			s := &sides[(i+j)%2]
+			start := time.Now()
+			if err := s.run(); err != nil {
+				return 0, 0, err
+			}
+			s.times = append(s.times, time.Since(start))
+		}
+	}
+	median := func(ts []time.Duration) time.Duration {
+		sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
+		return ts[len(ts)/2]
+	}
+	return median(sides[0].times), median(sides[1].times), nil
 }
 
 // runParBench runs the speedup benchmarks and writes the JSON report to
@@ -82,12 +114,13 @@ func runParBench(path string, workers int, seed uint64) error {
 	// Generate: full three-area campaign, serial loop vs worker pipeline.
 	cfg := lumos5g.SmallCampaign()
 	cfg.Seed = seed
-	start := time.Now()
-	serialD := sim.RunCampaign(cfg)
-	serialGen := time.Since(start)
-	start = time.Now()
-	parD := sim.RunCampaignParallel(cfg, nil, workers)
-	parGen := time.Since(start)
+	var serialD, parD *lumos5g.Dataset
+	serialGen, parGen, err := medianPair(
+		func() error { serialD = sim.RunCampaign(cfg); return nil },
+		func() error { parD = sim.RunCampaignParallel(cfg, nil, workers); return nil })
+	if err != nil {
+		return err
+	}
 	// Compare via CSV bytes: records carry NaN panel features on the
 	// unsurveyed area, and NaN != NaN under struct equality.
 	var sb, pb bytes.Buffer
@@ -109,49 +142,56 @@ func runParBench(path string, workers int, seed uint64) error {
 	city := cityscape.Generate(cityscape.Config{Seed: seed})
 	citySc := city.Mixed(24, seed)
 	cityD, _ := lumos5g.CleanDataset(sim.RunCampaignParallel(citySc.Sim, []*env.Area{citySc.Area}, workers))
-	trainChain := func(w int) ([]byte, time.Duration, error) {
-		sc := lumos5g.Scale{Seed: seed}
-		sc.GBDT.Workers = w
-		start := time.Now()
-		c, err := lumos5g.TrainCalibratedFallbackChain(cityD, lumos5g.DefaultFallbackGroups, lumos5g.ModelGDBT, sc)
-		took := time.Since(start)
-		if err != nil {
-			return nil, 0, fmt.Errorf("parbench: train chain (workers %d): %w", w, err)
+	// trainChain trains with w workers and leaves the saved bytes in *out.
+	trainChain := func(w int, out *[]byte) func() error {
+		return func() error {
+			sc := lumos5g.Scale{Seed: seed}
+			sc.GBDT.Workers = w
+			c, err := lumos5g.TrainCalibratedFallbackChain(cityD, lumos5g.DefaultFallbackGroups, lumos5g.ModelGDBT, sc)
+			if err != nil {
+				return fmt.Errorf("parbench: train chain (workers %d): %w", w, err)
+			}
+			var buf bytes.Buffer
+			if err := c.Save(&buf); err != nil {
+				return fmt.Errorf("parbench: save chain (workers %d): %w", w, err)
+			}
+			*out = buf.Bytes()
+			return nil
 		}
-		var buf bytes.Buffer
-		if err := c.Save(&buf); err != nil {
-			return nil, 0, fmt.Errorf("parbench: save chain (workers %d): %w", w, err)
-		}
-		return buf.Bytes(), took, nil
 	}
-	serialChain, serialChainT, err := trainChain(1)
-	if err != nil {
-		return err
-	}
-	parChain, parChainT, err := trainChain(workers)
+	var serialChain, parChain []byte
+	serialChainT, parChainT, err := medianPair(trainChain(1, &serialChain), trainChain(workers, &parChain))
 	if err != nil {
 		return err
 	}
 	rep.Benchmarks = append(rep.Benchmarks,
 		entry("train_chain", cityD.Len(), serialChainT, parChainT, bytes.Equal(serialChain, parChain)))
 
-	// Predict: per-row Predict loop vs PredictBatch on one GBDT fitted
-	// to the cleaned campaign's L+M feature matrix.
+	// Predict: the compiled kernel over every row on one goroutine vs
+	// PredictBatch, which splits the same kernel across the pool, on one
+	// GBDT fitted to the cleaned campaign's L+M feature matrix. Both
+	// sides run compiled code, so the ratio is the row fan-out's alone.
 	clean, _ := serialD.QualityFilter()
 	mat := features.Build(clean, features.GroupLM)
 	m := gbdt.New(gbdt.Config{Estimators: 60, MaxDepth: 6, Seed: seed, Workers: workers})
 	if err := m.Fit(mat.X, mat.Y); err != nil {
 		return fmt.Errorf("parbench: fit: %w", err)
 	}
-	start = time.Now()
-	serialPred := make([]float64, len(mat.X))
-	for i, x := range mat.X {
-		serialPred[i] = m.Predict(x)
+	comp := m.Compiled()
+	if comp == nil {
+		return fmt.Errorf("parbench: fitted GBDT has no compiled kernel")
 	}
-	serialBatch := time.Since(start)
-	start = time.Now()
-	parPred := m.PredictBatch(mat.X)
-	parBatch := time.Since(start)
+	var serialPred, parPred []float64
+	serialBatch, parBatch, err := medianPair(
+		func() error {
+			serialPred = make([]float64, len(mat.X))
+			comp.PredictInto(mat.X, serialPred, 0, len(mat.X))
+			return nil
+		},
+		func() error { parPred = m.PredictBatch(mat.X); return nil })
+	if err != nil {
+		return err
+	}
 	predSame := len(serialPred) == len(parPred)
 	for i := 0; predSame && i < len(serialPred); i++ {
 		predSame = serialPred[i] == parPred[i]
@@ -167,10 +207,10 @@ func runParBench(path string, workers int, seed uint64) error {
 		return err
 	}
 	for _, b := range rep.Benchmarks {
-		fmt.Printf("%-11s %7d rows  serial %6.2fs  parallel %6.2fs  speedup %.2fx  identical=%t\n",
+		fmt.Printf("%-11s %7d rows  serial %6.3fs  parallel %6.3fs  speedup %.2fx  identical=%t\n",
 			b.Name, b.Rows, b.SerialSeconds, b.ParallelSeconds, b.Speedup, b.Identical)
 	}
-	fmt.Printf("wrote %s (workers=%d, cpus=%d)\n", path, workers, rep.NumCPU)
+	fmt.Printf("wrote %s (medians of %d runs per side, workers=%d, cpus=%d)\n", path, parBenchRuns, workers, rep.NumCPU)
 	for _, b := range rep.Benchmarks {
 		if !b.Identical {
 			return fmt.Errorf("parbench: %s diverged between serial and parallel", b.Name)

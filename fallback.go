@@ -254,15 +254,6 @@ func (c *FallbackChain) SetLastResortOffsets(o ml.ConformalOffsets) error {
 	return nil
 }
 
-// LastResortOffsets returns the last resort's conformal offsets and
-// whether any exist.
-func (c *FallbackChain) LastResortOffsets() (ml.ConformalOffsets, bool) {
-	if c.hmOff == nil {
-		return ml.ConformalOffsets{}, false
-	}
-	return *c.hmOff, true
-}
-
 // HarmonicMeanThroughput is the dataset-wide harmonic-mean throughput —
 // the same prior TrainFallbackChain bakes into a chain's last resort.
 // Returns 0 when the dataset cannot support one (empty, or all-zero).
@@ -505,19 +496,6 @@ func (c *FallbackChain) missingFor(valid features.Mask) []string {
 // Tiers returns the chain's predictors in serving order.
 func (c *FallbackChain) Tiers() []*Predictor {
 	return append([]*Predictor(nil), c.tiers...)
-}
-
-// Prior returns the last-resort throughput prior in Mbps.
-func (c *FallbackChain) Prior() float64 { return c.prior }
-
-// ServedCounts returns how many queries each tier has answered since the
-// chain was built; the final element counts the last resort.
-func (c *FallbackChain) ServedCounts() []uint64 {
-	out := make([]uint64, len(c.served))
-	for i := range c.served {
-		out[i] = c.served[i].Load()
-	}
-	return out
 }
 
 // TierNames returns the serving-order tier labels, ending with the last

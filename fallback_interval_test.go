@@ -7,6 +7,7 @@ import (
 
 	"lumos5g/internal/core"
 	"lumos5g/internal/features"
+	"lumos5g/internal/ml"
 	"lumos5g/internal/rng"
 )
 
@@ -222,4 +223,41 @@ func TestIntervalArtifactRoundTrip(t *testing.T) {
 	if a1.Mbps != a2.Mbps || a1.P10 != a2.P10 || a1.P90 != a2.P90 {
 		t.Fatalf("round-tripped chain diverges: %+v vs %+v", a1, a2)
 	}
+}
+
+// LastResortOffsets returns the last resort's conformal offsets and
+// whether any exist.
+func (c *FallbackChain) LastResortOffsets() (ml.ConformalOffsets, bool) {
+	if c.hmOff == nil {
+		return ml.ConformalOffsets{}, false
+	}
+	return *c.hmOff, true
+}
+
+// ConformalOffsets returns the calibration offsets and whether the
+// predictor has been calibrated.
+func (p *Predictor) ConformalOffsets() (ml.ConformalOffsets, bool) {
+	if p.ival == nil {
+		return ml.ConformalOffsets{}, false
+	}
+	return *p.ival, true
+}
+
+// HasInterval reports whether PredictInterval serves calibrated (rather
+// than degenerate) bands.
+func (p *Predictor) HasInterval() bool { return p.ival != nil }
+
+// PredictIntervalBatch returns the p10/p50/p90 band for every row of X.
+// Element i equals PredictInterval(X[i]) exactly.
+func (p *Predictor) PredictIntervalBatch(X [][]float64) []ml.Interval {
+	mids := ml.PredictAll(p.reg, X)
+	out := make([]ml.Interval, len(mids))
+	for i, mid := range mids {
+		if p.ival == nil {
+			out[i] = ml.Degenerate(mid)
+		} else {
+			out[i] = p.ival.Interval(mid)
+		}
+	}
+	return out
 }

@@ -197,3 +197,16 @@ func TestNewFallbackChainValidation(t *testing.T) {
 		t.Fatalf("tierless chain: %+v", p)
 	}
 }
+
+// Prior returns the last-resort throughput prior in Mbps.
+func (c *FallbackChain) Prior() float64 { return c.prior }
+
+// ServedCounts returns how many queries each tier has answered since the
+// chain was built; the final element counts the last resort.
+func (c *FallbackChain) ServedCounts() []uint64 {
+	out := make([]uint64, len(c.served))
+	for i := range c.served {
+		out[i] = c.served[i].Load()
+	}
+	return out
+}

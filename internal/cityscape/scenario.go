@@ -2,12 +2,9 @@ package cityscape
 
 import (
 	"fmt"
-	"time"
 
-	"lumos5g/internal/dataset"
 	"lumos5g/internal/env"
 	"lumos5g/internal/geo"
-	"lumos5g/internal/netem"
 	"lumos5g/internal/sim"
 )
 
@@ -25,10 +22,6 @@ type Scenario struct {
 
 // UEs is the exact number of UE traces (shards) the scenario runs.
 func (s Scenario) UEs() int { return len(sim.AreaShards(s.Area, s.Sim)) }
-
-// Run executes the scenario serially. Use sim.RunCampaignParallel with
-// s.Area for the parallel, byte-identical form.
-func (s Scenario) Run() *dataset.Dataset { return sim.RunArea(s.Area, s.Sim) }
 
 // Mixed sizes a routine-day fleet over the full city: roughly 60%
 // walkers, 25% drivers, 15% stationary sessions, spread over every
@@ -102,18 +95,11 @@ func (c *City) Transit(ues int, seed uint64) Scenario {
 	}
 }
 
-// Storm is Mixed under weather: every tree line's loss is raised by
-// extraDB (rain-soaked foliage attenuates mmWave hard).
-func (c *City) Storm(ues int, extraDB float64, seed uint64) Scenario {
-	s := c.Mixed(ues, seed)
-	s.Name = fmt.Sprintf("storm+%.0fdB", extraDB)
-	s.Area = c.WithWeather(extraDB)
-	return s
-}
-
 // Outage is Mixed with one tower dark: its panels are removed, so
-// passes through the blocks it covered demote to the LTE anchor and
-// the extra NR<->LTE churn surfaces as stall events in FaultEvents.
+// passes through the blocks it covered demote to the LTE anchor and the
+// fleet spends more seconds on LTE than on the healthy city. It does not
+// add NR<->LTE churn: outage runs record fewer vertical handoffs than
+// healthy ones, not more.
 func (c *City) Outage(towerID int, ues int, seed uint64) (Scenario, error) {
 	a, err := c.WithTowerOutage(towerID)
 	if err != nil {
@@ -176,25 +162,6 @@ func (c *City) WithTowerOutage(towerID int) (*env.Area, error) {
 	}
 	a.Radio.Panels = kept
 	return a, nil
-}
-
-// FaultEvents converts a scenario dataset into the netem impairments a
-// replay would experience, pass by pass (sim.FaultTimeline assumes one
-// pass's contiguous seconds). Outage scenarios yield the blackout
-// events for their dead zones; handoff churn yields stalls and resets.
-func FaultEvents(d *dataset.Dataset, tick time.Duration) []netem.FaultEvent {
-	var events []netem.FaultEvent
-	start := 0
-	for i := 1; i <= len(d.Records); i++ {
-		if i == len(d.Records) ||
-			d.Records[i].Area != d.Records[start].Area ||
-			d.Records[i].Trajectory != d.Records[start].Trajectory ||
-			d.Records[i].Pass != d.Records[start].Pass {
-			events = append(events, sim.FaultTimeline(d.Records[start:i], tick)...)
-			start = i
-		}
-	}
-	return events
 }
 
 // cloneArea deep-copies the slices a scenario variant mutates.

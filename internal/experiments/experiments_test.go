@@ -92,7 +92,6 @@ func fastLab() *Lab {
 		}
 		raw := sim.RunArea(a, cfg)
 		clean, _ := raw.QualityFilter()
-		l.raw[name] = raw
 		l.cleaned[name] = clean
 	}
 	return l

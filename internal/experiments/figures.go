@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"lumos5g/internal/core"
@@ -459,12 +458,4 @@ func Fig23(l *Lab) *Report {
 		}
 	}
 	return r
-}
-
-// nanOr returns v or def when v is NaN.
-func nanOr(v, def float64) float64 {
-	if math.IsNaN(v) {
-		return def
-	}
-	return v
 }

@@ -97,7 +97,6 @@ type Lab struct {
 
 	mu      sync.Mutex
 	cleaned map[string]*dataset.Dataset
-	raw     map[string]*dataset.Dataset
 	evals   map[evalKey]core.Result
 }
 
@@ -113,13 +112,9 @@ func NewLab(opt Options) *Lab {
 	return &Lab{
 		opt:     opt,
 		cleaned: map[string]*dataset.Dataset{},
-		raw:     map[string]*dataset.Dataset{},
 		evals:   map[evalKey]core.Result{},
 	}
 }
-
-// Options returns the lab's options.
-func (l *Lab) Options() Options { return l.opt }
 
 // Scale returns the model scale for this lab.
 func (l *Lab) Scale() core.Scale { return l.opt.ModelScale() }
@@ -135,17 +130,6 @@ func (l *Lab) Area(name string) *dataset.Dataset {
 	return l.cleaned[name]
 }
 
-// RawArea returns the pre-filtering dataset for one area.
-func (l *Lab) RawArea(name string) *dataset.Dataset {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if d, ok := l.raw[name]; ok {
-		return d
-	}
-	l.simulateLocked(name)
-	return l.raw[name]
-}
-
 func (l *Lab) simulateLocked(name string) {
 	a, err := env.AreaByName(name)
 	if err != nil {
@@ -155,7 +139,6 @@ func (l *Lab) simulateLocked(name string) {
 	// to RunArea, so every cached experiment input is unchanged.
 	raw := sim.RunCampaignParallel(l.opt.Campaign(), []*env.Area{a}, 0)
 	clean, _ := raw.QualityFilter()
-	l.raw[name] = raw
 	l.cleaned[name] = clean
 }
 

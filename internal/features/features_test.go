@@ -340,3 +340,6 @@ func TestServingSchemaCoversEveryGroup(t *testing.T) {
 		t.Fatalf("QueryOf mask %b, want only pixel_x", q.Valid())
 	}
 }
+
+// GroupNames returns the feature column names Build produces for g.
+func GroupNames(g Group) []string { return featureNames(g) }

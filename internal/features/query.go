@@ -109,9 +109,6 @@ func ValidRange(name string) (FeatureRange, bool) {
 	return schema[c].rng, true
 }
 
-// GroupNames returns the feature column names Build produces for g.
-func GroupNames(g Group) []string { return featureNames(g) }
-
 // Mask is a set of schema columns, bit c standing for Col c.
 type Mask uint32
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"lumos5g/internal/mapserver"
+	"lumos5g/internal/obs"
 	"lumos5g/internal/wire"
 )
 
@@ -579,3 +580,6 @@ func sumExposition(exposition, prefix string) float64 {
 	}
 	return sum
 }
+
+// Metrics returns the router's own registry (fleet_* instruments).
+func (rt *Router) Metrics() *obs.Registry { return rt.m.reg }

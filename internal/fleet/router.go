@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"lumos5g/internal/engine"
-	"lumos5g/internal/obs"
 	"lumos5g/internal/wire"
 )
 
@@ -118,9 +117,6 @@ func (rt *Router) Topology() *Topology { return rt.topo.Load() }
 // reuse Shard/Replica pointers for surviving members so their health
 // and breaker state carry over.
 func (rt *Router) SetTopology(t *Topology) { rt.topo.Store(t) }
-
-// Metrics returns the router's own registry (fleet_* instruments).
-func (rt *Router) Metrics() *obs.Registry { return rt.m.reg }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	route := r.URL.Path

@@ -85,18 +85,6 @@ func (f Frame) ToPoint(l LatLon) Point {
 	return Point{X: x, Y: y}
 }
 
-// Haversine returns the great-circle distance between two WGS-84
-// coordinates in meters.
-func Haversine(a, b LatLon) float64 {
-	const rad = math.Pi / 180
-	dLat := (b.Lat - a.Lat) * rad
-	dLon := (b.Lon - a.Lon) * rad
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(a.Lat*rad)*math.Cos(b.Lat*rad)*sinLon*sinLon
-	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(math.Min(1, h)))
-}
-
 // Bearing returns the initial compass bearing from a to b in degrees
 // [0, 360), measured clockwise from true north — the same convention as
 // Android's azimuth reported by the paper's measurement app.

@@ -273,3 +273,31 @@ func TestPointOps(t *testing.T) {
 		t.Fatal("Lerp")
 	}
 }
+
+// Haversine returns the great-circle distance between two WGS-84
+// coordinates in meters.
+func Haversine(a, b LatLon) float64 {
+	const rad = math.Pi / 180
+	dLat := (b.Lat - a.Lat) * rad
+	dLon := (b.Lon - a.Lon) * rad
+	sinLat := math.Sin(dLat / 2)
+	sinLon := math.Sin(dLon / 2)
+	h := sinLat*sinLat + math.Cos(a.Lat*rad)*math.Cos(b.Lat*rad)*sinLon*sinLon
+	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(math.Min(1, h)))
+}
+
+// Unpixelize returns the WGS-84 coordinate of the pixel's top-left corner.
+func Unpixelize(p Pixel) LatLon {
+	size := worldSize(p.Zoom)
+	lon := float64(p.X)/size*360 - 180
+	n := math.Pi - 2*math.Pi*float64(p.Y)/size
+	lat := 180 / math.Pi * math.Atan(math.Sinh(n))
+	return LatLon{Lat: lat, Lon: lon}
+}
+
+// PixelResolutionMeters returns the ground resolution of one pixel at the
+// given latitude and zoom, in meters per pixel.
+func PixelResolutionMeters(lat float64, zoom int) float64 {
+	circumference := 2 * math.Pi * EarthRadiusMeters
+	return circumference * math.Cos(lat*math.Pi/180) / worldSize(zoom)
+}

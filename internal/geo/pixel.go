@@ -42,22 +42,6 @@ func Pixelize(l LatLon, zoom int) Pixel {
 	return Pixel{X: int(math.Floor(x)), Y: int(math.Floor(y)), Zoom: zoom}
 }
 
-// Unpixelize returns the WGS-84 coordinate of the pixel's top-left corner.
-func Unpixelize(p Pixel) LatLon {
-	size := worldSize(p.Zoom)
-	lon := float64(p.X)/size*360 - 180
-	n := math.Pi - 2*math.Pi*float64(p.Y)/size
-	lat := 180 / math.Pi * math.Atan(math.Sinh(n))
-	return LatLon{Lat: lat, Lon: lon}
-}
-
-// PixelResolutionMeters returns the ground resolution of one pixel at the
-// given latitude and zoom, in meters per pixel.
-func PixelResolutionMeters(lat float64, zoom int) float64 {
-	circumference := 2 * math.Pi * EarthRadiusMeters
-	return circumference * math.Cos(lat*math.Pi/180) / worldSize(zoom)
-}
-
 // GridKey identifies a square aggregation cell. The paper's throughput
 // maps (Fig 6) aggregate samples into 2 m × 2 m grids.
 type GridKey struct {

@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"fmt"
-
 	"lumos5g/internal/dataset"
 	"lumos5g/internal/geo"
 )
@@ -135,63 +133,4 @@ func (w *window) snapshot() *dataset.Dataset {
 
 func (w *window) stats() (samples, cells int) {
 	return w.live, len(w.cells)
-}
-
-// checkConsistency verifies the ring/cell-aggregate invariant: the cell
-// aggregates describe exactly the live ring records — same counts, same
-// throughput sums, same slots — and no cell exceeds the cap. Test hook.
-func (w *window) checkConsistency() error {
-	type ref struct {
-		n     int
-		sum   float64
-		slots []int
-	}
-	want := map[geo.GridKey]*ref{}
-	liveSeen := 0
-	for i := 0; i < w.n; i++ {
-		slot := (w.head + i) % len(w.recs)
-		if w.dead[slot] {
-			continue
-		}
-		liveSeen++
-		k := cellOf(&w.recs[slot])
-		r := want[k]
-		if r == nil {
-			r = &ref{}
-			want[k] = r
-		}
-		r.n++
-		r.sum += w.recs[slot].ThroughputMbps
-		r.slots = append(r.slots, slot)
-	}
-	if liveSeen != w.live {
-		return fmt.Errorf("live=%d but %d live slots in ring", w.live, liveSeen)
-	}
-	if len(want) != len(w.cells) {
-		return fmt.Errorf("cells=%d but ring holds %d distinct cells", len(w.cells), len(want))
-	}
-	for k, r := range want {
-		agg := w.cells[k]
-		if agg == nil {
-			return fmt.Errorf("cell %v present in ring but missing aggregate", k)
-		}
-		if agg.n != r.n {
-			return fmt.Errorf("cell %v: agg.n=%d, ring has %d", k, agg.n, r.n)
-		}
-		if diff := agg.sum - r.sum; diff > 1e-6 || diff < -1e-6 {
-			return fmt.Errorf("cell %v: agg.sum=%v, ring sums to %v", k, agg.sum, r.sum)
-		}
-		if w.cellCap > 0 && agg.n > w.cellCap {
-			return fmt.Errorf("cell %v: %d live records exceeds cap %d", k, agg.n, w.cellCap)
-		}
-		if len(agg.slots) != len(r.slots) {
-			return fmt.Errorf("cell %v: %d queued slots, ring has %d", k, len(agg.slots), len(r.slots))
-		}
-		for i := range r.slots {
-			if agg.slots[i] != r.slots[i] {
-				return fmt.Errorf("cell %v: slot queue %v, ring order %v", k, agg.slots, r.slots)
-			}
-		}
-	}
-	return nil
 }

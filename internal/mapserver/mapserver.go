@@ -259,15 +259,6 @@ func (s *Server) ReloadModelFile(path string) error {
 	return nil
 }
 
-// ReloadStats reports hot-reload health: successful swaps, rejected
-// artifacts, and the last rejection message ("" when healthy).
-func (s *Server) ReloadStats() (reloads, rejected uint64, lastErr string) {
-	s.mu.RLock()
-	lastErr = s.reloadErr
-	s.mu.RUnlock()
-	return s.m.reloads.Value(), s.m.reloadsRejected.Value(), lastErr
-}
-
 // healthJSON is the /healthz wire form. Degraded means the service is up
 // but not serving with a fully healthy model: it has no model at all, or
 // the newest artifact was rejected and an older model is serving.

@@ -323,3 +323,12 @@ func TestStartModelWatchStops(t *testing.T) {
 		t.Fatalf("watcher still polling after stop: %d events", n)
 	}
 }
+
+// ReloadStats reports hot-reload health: successful swaps, rejected
+// artifacts, and the last rejection message ("" when healthy).
+func (s *Server) ReloadStats() (reloads, rejected uint64, lastErr string) {
+	s.mu.RLock()
+	lastErr = s.reloadErr
+	s.mu.RUnlock()
+	return s.m.reloads.Value(), s.m.reloadsRejected.Value(), lastErr
+}

@@ -600,15 +600,6 @@ func binValueBitsPtr(edges unsafe.Pointer, nEdges uint64, u uint64) uint8 {
 // NumTrees returns the compiled ensemble size.
 func (e *Ensemble) NumTrees() int { return len(e.treeDepth) }
 
-// NumFeatures returns the expected feature vector length.
-func (e *Ensemble) NumFeatures() int { return e.nFeat }
-
-// NumNodes returns the total flattened node count.
-func (e *Ensemble) NumNodes() int { return e.nNodes }
-
-// Quantized reports whether the uint8 bin-compare kernel is available.
-func (e *Ensemble) Quantized() bool { return e.edges != nil }
-
 // Kernel names the batch kernel PredictInto runs, chosen at Compile
 // time: "bitmask" for a quantized ensemble whose trees all have at most
 // 64 leaves, "banked" for any other quantized ensemble, and "raw" for

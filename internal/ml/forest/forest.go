@@ -164,6 +164,3 @@ const batchMinRows = 256
 func (m *Model) PredictClass(x []float64) ml.Class {
 	return ml.ClassOf(m.Predict(x))
 }
-
-// NumTrees returns the fitted ensemble size.
-func (m *Model) NumTrees() int { return len(m.trees) }

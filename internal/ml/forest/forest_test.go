@@ -114,3 +114,6 @@ func TestForestPredictClass(t *testing.T) {
 		t.Fatalf("class(0.9) = %v", c)
 	}
 }
+
+// NumTrees returns the fitted ensemble size.
+func (m *Model) NumTrees() int { return len(m.trees) }

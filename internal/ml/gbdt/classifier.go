@@ -144,14 +144,6 @@ func (c *Classifier) Scores(x []float64) []float64 {
 	return scores
 }
 
-// Proba returns the class probability vector for one sample.
-func (c *Classifier) Proba(x []float64) []float64 {
-	scores := c.Scores(x)
-	out := make([]float64, len(scores))
-	softmaxInto(scores, out)
-	return out
-}
-
 // Predict returns the most probable class label.
 func (c *Classifier) Predict(x []float64) int {
 	scores := c.Scores(x)
@@ -163,6 +155,3 @@ func (c *Classifier) Predict(x []float64) int {
 	}
 	return best
 }
-
-// NumRounds returns the number of fitted boosting rounds.
-func (c *Classifier) NumRounds() int { return len(c.trees) }

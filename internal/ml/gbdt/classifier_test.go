@@ -149,3 +149,14 @@ func TestSoftmaxInto(t *testing.T) {
 		t.Fatalf("stable softmax = %v", out)
 	}
 }
+
+// Proba returns the class probability vector for one sample.
+func (c *Classifier) Proba(x []float64) []float64 {
+	scores := c.Scores(x)
+	out := make([]float64, len(scores))
+	softmaxInto(scores, out)
+	return out
+}
+
+// NumRounds returns the number of fitted boosting rounds.
+func (c *Classifier) NumRounds() int { return len(c.trees) }

@@ -256,6 +256,3 @@ func (m *Model) FeatureImportance() ([]float64, error) {
 	}
 	return out, nil
 }
-
-// NumTrees returns the number of fitted boosting rounds.
-func (m *Model) NumTrees() int { return len(m.trees) }

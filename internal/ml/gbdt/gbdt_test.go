@@ -173,3 +173,6 @@ func TestGBDTNumTrees(t *testing.T) {
 		t.Fatalf("NumTrees = %d", m.NumTrees())
 	}
 }
+
+// NumTrees returns the number of fitted boosting rounds.
+func (m *Model) NumTrees() int { return len(m.trees) }

@@ -110,3 +110,12 @@ func TestDegenerateAndValid(t *testing.T) {
 		t.Fatal("finite offsets reported invalid")
 	}
 }
+
+// Ordered reports whether the interval satisfies the serving contract
+// p10 <= p50 <= p90 with all three bounds finite.
+func (iv Interval) Ordered() bool {
+	return !math.IsNaN(iv.P10) && !math.IsInf(iv.P10, 0) &&
+		!math.IsNaN(iv.P50) && !math.IsInf(iv.P50, 0) &&
+		!math.IsNaN(iv.P90) && !math.IsInf(iv.P90, 0) &&
+		iv.P10 <= iv.P50 && iv.P50 <= iv.P90
+}

@@ -397,19 +397,3 @@ func (m *Seq2Seq) PredictNext(seq [][]float64) (float64, error) {
 	}
 	return out[0], nil
 }
-
-// Loss computes the mean squared error over a dataset in raw units
-// (useful for tracking convergence in tests).
-func (m *Seq2Seq) Loss(X [][][]float64, Y [][]float64) float64 {
-	var sum float64
-	var n int
-	for i := range X {
-		st := m.forward(X[i], nil, 0)
-		for t, p := range st.preds {
-			d := (p*m.yStd + m.yMean) - Y[i][t]
-			sum += d * d
-			n++
-		}
-	}
-	return sum / float64(n)
-}

@@ -30,12 +30,6 @@ func NewTabularSeq2Seq(cfg Seq2SeqConfig) *Tabular {
 	return &Tabular{cfg: cfg, seq2seq: true}
 }
 
-// IsSeq2Seq reports which architecture the adapter wraps.
-func (t *Tabular) IsSeq2Seq() bool { return t.seq2seq }
-
-// Kernel returns the compiled inference kernel (nil before Fit).
-func (t *Tabular) Kernel() *compiled.RNN { return t.kernel }
-
 // Fit trains the underlying sequence model on length-1 sequences and
 // compiles it. InputDim is taken from the data.
 func (t *Tabular) Fit(X [][]float64, y []float64) error {

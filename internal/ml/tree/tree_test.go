@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -228,4 +229,52 @@ func TestTreeReducesVariance(t *testing.T) {
 	if sse > tss*0.1 {
 		t.Fatalf("tree explains too little variance: SSE/TSS = %v", sse/tss)
 	}
+}
+
+// Fit is a convenience for standalone trees: it bins X itself.
+func Fit(X [][]float64, y []float64, opts Options) (*Tree, *Binner, error) {
+	if len(X) == 0 || len(X) != len(y) {
+		return nil, nil, errors.New("tree: bad input shape")
+	}
+	binner := NewBinner(X, MaxBins)
+	binned := binner.BinMatrix(X)
+	rows := make([]int, len(X))
+	for i := range rows {
+		rows[i] = i
+	}
+	t, err := Grow(binned, binner, y, rows, opts)
+	return t, binner, err
+}
+
+// NumNodes returns the number of nodes (for tests and size accounting).
+func (t *Tree) NumNodes() int { return len(t.nodes) }
+
+// Depth returns the maximum depth of the tree. The walk is iterative
+// with an explicit stack: imported trees are only validated structurally,
+// so a pathologically deep chain must not blow the goroutine stack, and
+// the explicit stack costs one allocation instead of a closure per call.
+func (t *Tree) Depth() int {
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	type frame struct {
+		id    int32
+		depth int
+	}
+	stack := make([]frame, 1, 64)
+	stack[0] = frame{id: 0, depth: 0}
+	max := 0
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := &t.nodes[f.id]
+		if nd.feature < 0 {
+			if f.depth > max {
+				max = f.depth
+			}
+			continue
+		}
+		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+	}
+	return max
 }

@@ -39,11 +39,6 @@ type Client struct {
 	StallTimeout time.Duration
 	// Seed makes the backoff jitter deterministic (0 means 1).
 	Seed uint64
-	// Metrics, when non-nil, receives process-lifetime counters (retries,
-	// stalls, outage seconds) and the per-interval throughput histogram
-	// for every measurement this client runs. The per-run MeasureReport
-	// is unaffected.
-	Metrics *Metrics
 }
 
 // dialTimeout bounds one TCP connection attempt.
@@ -187,7 +182,6 @@ func (c *Client) MeasureFull(ctx context.Context, addr string, samples int) (*Me
 		if err != nil {
 			rep.Conns[i].DialErrors++
 			rep.Conns[i].note(err)
-			c.Metrics.countDialError()
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -201,9 +195,7 @@ func (c *Client) MeasureFull(ctx context.Context, addr string, samples int) (*Me
 		return nil, fmt.Errorf("netem: dial %s: %w", addr, firstErr)
 	}
 
-	sup := superviseParams{
-		addr: addr, base: base, max: maxBackoff, stall: stall, metrics: c.Metrics,
-	}
+	sup := superviseParams{addr: addr, base: base, max: maxBackoff, stall: stall}
 	var wg sync.WaitGroup
 	boxes := make([]*connBox, conns)
 	root := rng.New(seed)
@@ -237,7 +229,6 @@ func (c *Client) MeasureFull(ctx context.Context, addr string, samples int) (*Me
 			n := atomic.SwapInt64(&bytesRead, 0)
 			mbps := float64(n) * 8 / interval.Seconds() / 1e6
 			out = append(out, mbps)
-			c.Metrics.observeSample(mbps)
 		}
 	}
 	cancel()
@@ -278,11 +269,10 @@ func (b *connBox) close() {
 }
 
 type superviseParams struct {
-	addr    string
-	base    time.Duration
-	max     time.Duration
-	stall   time.Duration
-	metrics *Metrics // nil-safe; shared across the connection slots
+	addr  string
+	base  time.Duration
+	max   time.Duration
+	stall time.Duration
 }
 
 // supervise owns one connection slot: it reads until the connection
@@ -306,13 +296,11 @@ func supervise(ctx context.Context, wg *sync.WaitGroup, conn net.Conn, box *conn
 				delay = p.max
 			}
 			st.Retries++
-			p.metrics.countRetry()
 			var err error
 			conn, err = (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", p.addr)
 			if err != nil {
 				st.DialErrors++
 				st.note(err)
-				p.metrics.countDialError()
 				conn = nil
 				if ctx.Err() != nil {
 					return
@@ -340,10 +328,8 @@ func supervise(ctx context.Context, wg *sync.WaitGroup, conn net.Conn, box *conn
 				}
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					st.Stalls++
-					p.metrics.countStall()
 				} else {
 					st.ReadErrors++
-					p.metrics.countReadError()
 				}
 				st.note(err)
 				break

@@ -12,10 +12,10 @@ import (
 // The paper's defining mmWave phenomena are *failures*: throughput
 // collapses to ~0 Mbps in dead zones (§4.2), NR↔LTE handoffs stall TCP
 // for seconds (§4.4), and body/vehicle blockage kills individual
-// connections (§4.3). A FaultPlan turns those radio events into concrete
-// transport impairments that the Server injects mid-transfer, so the
-// client-side pipeline can be exercised against — and must survive — the
-// same outages the paper's campaign recorded as data.
+// connections (§4.3). A FaultPlan schedules transport impairments of
+// those kinds that the Server injects mid-transfer, so the client-side
+// pipeline can be exercised against — and must survive — the same
+// outages the paper's campaign recorded as data.
 
 // FaultKind classifies one injected impairment.
 type FaultKind int
@@ -73,7 +73,7 @@ type FaultPlan struct {
 }
 
 // NewFaultPlan builds a plan from an explicit schedule (tests and
-// trace-derived plans use this). Events are sorted by offset.
+// GenerateFaultPlan use this). Events are sorted by offset.
 func NewFaultPlan(events ...FaultEvent) *FaultPlan {
 	evs := make([]FaultEvent, len(events))
 	copy(evs, events)
@@ -206,41 +206,4 @@ func (p *FaultPlan) WriteFault(now time.Time) (reset bool, pause time.Duration) 
 		}
 	}
 	return false, pause
-}
-
-// EventsFromTrace maps a per-second radio trace onto a fault schedule,
-// one tick per sample: a vertical handoff becomes a multi-tick stall
-// (the NR↔LTE gap), a horizontal handoff becomes a connection reset
-// (beam re-acquisition dropping one stream), and every run of ~0 Mbps
-// seconds becomes a blackout spanning the run (the dead zone itself).
-func EventsFromTrace(verticalHO, horizontalHO []bool, tputMbps []float64, tick time.Duration) []FaultEvent {
-	const deadZoneMbps = 1.0
-	var evs []FaultEvent
-	for i := range verticalHO {
-		if verticalHO[i] {
-			evs = append(evs, FaultEvent{Kind: FaultStall, At: time.Duration(i) * tick, Duration: 3 * tick})
-		}
-	}
-	for i := range horizontalHO {
-		if horizontalHO[i] {
-			evs = append(evs, FaultEvent{Kind: FaultReset, At: time.Duration(i) * tick})
-		}
-	}
-	start := -1
-	for i := 0; i <= len(tputMbps); i++ {
-		dead := i < len(tputMbps) && tputMbps[i] < deadZoneMbps
-		if dead && start < 0 {
-			start = i
-		}
-		if !dead && start >= 0 {
-			evs = append(evs, FaultEvent{
-				Kind:     FaultBlackout,
-				At:       time.Duration(start) * tick,
-				Duration: time.Duration(i-start) * tick,
-			})
-			start = -1
-		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return evs
 }

@@ -164,38 +164,3 @@ func TestDialFaultTriggersClientRetry(t *testing.T) {
 		t.Fatalf("fired log: %v", fired)
 	}
 }
-
-func TestEventsFromTrace(t *testing.T) {
-	tick := 100 * time.Millisecond
-	vho := []bool{false, false, true, false, false, false, false, false}
-	hho := []bool{false, false, false, false, false, true, false, false}
-	tput := []float64{900, 800, 0.2, 0.1, 0.3, 700, 650, 0.5}
-	evs := EventsFromTrace(vho, hho, tput, tick)
-
-	var stalls, resets, blackouts []FaultEvent
-	for _, ev := range evs {
-		switch ev.Kind {
-		case FaultStall:
-			stalls = append(stalls, ev)
-		case FaultReset:
-			resets = append(resets, ev)
-		case FaultBlackout:
-			blackouts = append(blackouts, ev)
-		}
-	}
-	if len(stalls) != 1 || stalls[0].At != 2*tick || stalls[0].Duration != 3*tick {
-		t.Fatalf("vertical handoff mapping wrong: %v", stalls)
-	}
-	if len(resets) != 1 || resets[0].At != 5*tick {
-		t.Fatalf("horizontal handoff mapping wrong: %v", resets)
-	}
-	if len(blackouts) != 2 {
-		t.Fatalf("want 2 blackouts (mid-run and trailing), got %v", blackouts)
-	}
-	if blackouts[0].At != 2*tick || blackouts[0].Duration != 3*tick {
-		t.Fatalf("dead-zone run mapping wrong: %v", blackouts[0])
-	}
-	if blackouts[1].At != 7*tick || blackouts[1].Duration != tick {
-		t.Fatalf("trailing dead zone mapping wrong: %v", blackouts[1])
-	}
-}

@@ -1,10 +1,12 @@
-// Package netem is the measurement-platform substrate: the equivalent of
+// Package netem is the TCP measurement harness: the equivalent of
 // the paper's cross-compiled iPerf 3.7 setup (§3.1). It provides a
 // token-bucket Shaper that stands in for the mmWave radio bottleneck, a
 // bulk-transfer TCP Server that streams through the shaper, and a Client
 // that opens parallel TCP connections (the paper uses 8, because one
 // connection cannot saturate the 5G downlink) and reports per-second
-// application-layer throughput — the ground-truth column of the dataset.
+// application-layer throughput, the quantity the paper records as ground
+// truth. The harness is standalone: the simulated dataset's throughput
+// comes from the radio model, not from TCP runs.
 package netem
 
 import (
@@ -14,8 +16,8 @@ import (
 )
 
 // Shaper is a thread-safe token bucket expressed in bits per second. The
-// rate can be changed at runtime, which is how the radio model drives the
-// emulated link as a UE moves.
+// rate can be changed at runtime, so a measurement can step the emulated
+// link mid-run.
 type Shaper struct {
 	mu       sync.Mutex
 	rateBps  float64

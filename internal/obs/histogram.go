@@ -29,12 +29,6 @@ var DefLatencyBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// DefThroughputBuckets spans the paper's observed mmWave downlink range
-// (0 Mbps outages up to ~2 Gbps, Fig 3) in Mbps.
-var DefThroughputBuckets = []float64{
-	0.5, 1, 5, 10, 25, 50, 100, 150, 200, 300, 400, 600, 800, 1000, 1500, 2000,
-}
-
 func newHistogram(upper []float64) *Histogram {
 	if len(upper) == 0 {
 		panic("obs: histogram needs at least one bucket bound")
@@ -55,14 +49,6 @@ func newHistogram(upper []float64) *Histogram {
 	}
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
-}
-
-// NewHistogram registers and returns a histogram with the given upper
-// bucket bounds (a +Inf overflow bucket is implicit).
-func (r *Registry) NewHistogram(name, help string, upper []float64) *Histogram {
-	h := newHistogram(upper)
-	r.register(name, help, "histogram", h)
 	return h
 }
 

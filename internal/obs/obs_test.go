@@ -198,3 +198,11 @@ func TestHistogramEdgeQuantiles(t *testing.T) {
 		t.Fatalf("q1 must be the observed max: %v", got)
 	}
 }
+
+// NewHistogram registers and returns a histogram with the given upper
+// bucket bounds (a +Inf overflow bucket is implicit).
+func (r *Registry) NewHistogram(name, help string, upper []float64) *Histogram {
+	h := newHistogram(upper)
+	r.register(name, help, "histogram", h)
+	return h
+}

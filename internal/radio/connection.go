@@ -100,17 +100,6 @@ func NewConnection(env *Environment, lte *LTEModel, src *rng.Source) *Connection
 	}
 }
 
-// Radio returns the current radio type.
-func (c *Connection) Radio() RadioType { return c.radio }
-
-// ServingPanelID returns the serving 5G panel's cell ID, or -1 on LTE.
-func (c *Connection) ServingPanelID() int {
-	if c.radio != RadioNR || c.servingPanel < 0 {
-		return -1
-	}
-	return c.env.Panels[c.servingPanel].ID
-}
-
 // Tick advances the connection by one second given the UE's kinematic
 // state and the number of other UEs actively sharing the serving panel
 // (0 for a solo UE), and returns the observation for this second.

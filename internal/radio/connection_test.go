@@ -194,3 +194,14 @@ func TestRadioTypeString(t *testing.T) {
 		t.Fatal("radio strings")
 	}
 }
+
+// Radio returns the current radio type.
+func (c *Connection) Radio() RadioType { return c.radio }
+
+// ServingPanelID returns the serving 5G panel's cell ID, or -1 on LTE.
+func (c *Connection) ServingPanelID() int {
+	if c.radio != RadioNR || c.servingPanel < 0 {
+		return -1
+	}
+	return c.env.Panels[c.servingPanel].ID
+}

@@ -1,10 +1,6 @@
 package radio
 
-import (
-	"fmt"
-
-	"lumos5g/internal/geo"
-)
+import "lumos5g/internal/geo"
 
 // Panel is a single mmWave transceiver face. The paper observed one to
 // three panels per tower deployment, each facing a different direction
@@ -20,10 +16,6 @@ type Panel struct {
 	Facing float64
 	// Name is a human-readable label ("north", "SW-A", ...).
 	Name string
-}
-
-func (p Panel) String() string {
-	return fmt.Sprintf("panel %d (%s) at %v facing %.0f°", p.ID, p.Name, p.Pos, p.Facing)
 }
 
 // Antenna gain pattern parameters (3GPP TR 38.901-style single sector).

@@ -44,11 +44,6 @@ func NoiseFloorDBm() float64 {
 	return -174 + 10*math.Log10(BandwidthHz) + NoiseFigureDB
 }
 
-// MaxThroughputMbps is the PHY-capped achievable rate for one UE.
-func MaxThroughputMbps() float64 {
-	return BandwidthHz * MaxSpectralEff * LinkEfficiency / 1e6
-}
-
 // ShannonThroughputMbps maps an SNR in dB to an achievable TCP-level
 // throughput in Mbps using a capped Shannon bound with implementation
 // efficiency.

@@ -252,3 +252,8 @@ func TestBlockageLossAccumulatesAndCaps(t *testing.T) {
 		t.Fatal("no obstacles should be LoS")
 	}
 }
+
+// MaxThroughputMbps is the PHY-capped achievable rate for one UE.
+func MaxThroughputMbps() float64 {
+	return BandwidthHz * MaxSpectralEff * LinkEfficiency / 1e6
+}

@@ -93,3 +93,16 @@ func TestStateRoundTripAcrossSplits(t *testing.T) {
 		t.Fatalf("restored parent: %d != %d", g, wantParent)
 	}
 }
+
+// SplitN derives n independent child streams in one serial pass,
+// consuming exactly n draws from the parent. It is the pre-split API of
+// the deterministic parallel paths: a coordinator splits once, hands
+// stream k to worker k, and the result is bit-identical no matter how
+// the workers interleave — equivalent to calling Split n times in a row.
+func (s *Source) SplitN(n int) []*Source {
+	out := make([]*Source, n)
+	for i := range out {
+		out[i] = s.Split()
+	}
+	return out
+}

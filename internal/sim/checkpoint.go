@@ -59,10 +59,6 @@ type ResumeOptions struct {
 	// in canonical order, so the output file is byte-identical for every
 	// worker count.
 	Workers int
-	// Metrics, if set, receives campaign progress (shards done, rows
-	// written, rows/sec). Purely observational: the generated bytes are
-	// unaffected.
-	Metrics *Metrics
 }
 
 // RunResult reports how a resumable run ended.
@@ -239,7 +235,6 @@ func RunCampaignResumable(ctx context.Context, cfg Config, areas []*env.Area,
 	}
 
 	res.Rows, res.Dropped = cp.Rows, cp.Dropped
-	opt.Metrics.beginRun(len(shards))
 	// Shards simulate on the worker pipeline; this emit callback — always
 	// called in shard order, with the stationary-stream state the shard
 	// left behind — is the serial loop's durable-write step unchanged.
@@ -272,7 +267,6 @@ func RunCampaignResumable(ctx context.Context, cfg Config, areas []*env.Area,
 			if err := writeCheckpoint(cpPath, cp); err != nil {
 				return err
 			}
-			opt.Metrics.noteShard(len(recs))
 			if opt.OnShard != nil {
 				opt.OnShard(i+1, len(shards))
 			}

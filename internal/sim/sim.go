@@ -68,13 +68,6 @@ type Shard struct {
 	Pass int    `json:"pass"`
 }
 
-func (sh Shard) String() string {
-	if sh.Kind == "still" {
-		return sh.Area + "/still/" + itoa(sh.Pass)
-	}
-	return sh.Area + "/" + sh.Traj + "/" + sh.Kind + "/" + itoa(sh.Pass)
-}
-
 // AreaShards enumerates one area's shards in canonical execution order:
 // per trajectory all walking then driving passes, then the stationary
 // sessions. Running them in order through an areaRunner reproduces

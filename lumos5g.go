@@ -2,21 +2,21 @@
 // reproduction of "Lumos5G: Mapping and Predicting Commercial mmWave 5G
 // Throughput" (Narayanan et al., IMC 2020).
 //
-// The package exposes four capabilities:
+// The package exposes three capabilities:
 //
 //  1. Campaign generation — a mechanistic mmWave radio + mobility
 //     simulator regenerates a Lumos5G-style per-second measurement
-//     dataset over the paper's three areas (GenerateCampaign,
-//     GenerateArea).
+//     dataset over the paper's three areas (GenerateArea,
+//     GenerateCampaignParallel, GenerateResumable).
 //  2. The Lumos5G ML framework — composable feature groups (L, M, T, C
 //     and their combinations, Table 6) paired with GDBT and Seq2Seq
 //     models plus the 3G/4G-era baselines (KNN, RF, Ordinary Kriging,
 //     Harmonic Mean), evaluated exactly as in §6 (Evaluate, Train).
 //  3. 5G throughput maps — the Fig 3c/6 artifact (BuildThroughputMap).
-//  4. Transferability analysis — §6.2 (Transferability).
 //
 // A quickstart lives in examples/quickstart; the experiment harness that
-// regenerates every table and figure of the paper is cmd/lumosbench.
+// regenerates every table and figure of the paper, the §6.2
+// transferability analysis included, is cmd/lumosbench.
 package lumos5g
 
 import (
@@ -54,8 +54,6 @@ type (
 	Result = core.Result
 	// ThroughputMap is the per-grid 5G throughput map (Fig 3c).
 	ThroughputMap = core.ThroughputMap
-	// TransferResult is the §6.2 cross-panel generalisation outcome.
-	TransferResult = core.TransferResult
 	// CampaignConfig controls dataset generation.
 	CampaignConfig = sim.Config
 	// ResumeOptions tunes checkpointed campaign generation.
@@ -128,16 +126,12 @@ func Areas() []*Area { return env.AllAreas() }
 // AreaByName returns one built-in area: "Airport", "Intersection", "Loop".
 func AreaByName(name string) (*Area, error) { return env.AreaByName(name) }
 
-// GenerateCampaign simulates the full measurement campaign across all
-// areas and returns the raw (unfiltered) dataset.
-func GenerateCampaign(cfg CampaignConfig) *Dataset { return sim.RunCampaign(cfg) }
-
 // GenerateArea simulates the campaign for one area.
 func GenerateArea(a *Area, cfg CampaignConfig) *Dataset { return sim.RunArea(a, cfg) }
 
 // GenerateCampaignParallel simulates the campaign over the given areas
 // (nil means all) on a pool of workers (<=0 means one per CPU) and
-// returns a dataset byte-identical to GenerateCampaign's — shards run
+// returns a dataset byte-identical to the serial runner's — shards run
 // concurrently but merge in canonical order, each on the same random
 // streams the serial runner would hand it.
 func GenerateCampaignParallel(cfg CampaignConfig, areas []*Area, workers int) *Dataset {
@@ -204,18 +198,6 @@ func Evaluate(d *Dataset, g FeatureGroup, m Model, sc Scale) Result {
 // with fewer than minSamples samples are omitted.
 func BuildThroughputMap(d *Dataset, minSamples int) *ThroughputMap {
 	return core.BuildThroughputMap(d, minSamples)
-}
-
-// Transferability trains a T+M model on one panel and tests on another
-// (§6.2).
-func Transferability(d *Dataset, trainPanelID, testPanelID int, nearMeters float64, sc Scale) (*TransferResult, error) {
-	return core.Transferability(d, trainPanelID, testPanelID, nearMeters, sc)
-}
-
-// FeatureImportance trains a GDBT on the group and returns Fig 22-style
-// logical feature importances.
-func FeatureImportance(d *Dataset, g FeatureGroup, sc Scale) (names []string, importance []float64, err error) {
-	return core.FeatureImportance(d, g, sc)
 }
 
 // ClassOf maps a throughput in Mbps to its class.

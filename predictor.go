@@ -133,19 +133,6 @@ func (p *Predictor) SetConformalOffsets(o ml.ConformalOffsets) error {
 	return nil
 }
 
-// ConformalOffsets returns the calibration offsets and whether the
-// predictor has been calibrated.
-func (p *Predictor) ConformalOffsets() (ml.ConformalOffsets, bool) {
-	if p.ival == nil {
-		return ml.ConformalOffsets{}, false
-	}
-	return *p.ival, true
-}
-
-// HasInterval reports whether PredictInterval serves calibrated (rather
-// than degenerate) bands.
-func (p *Predictor) HasInterval() bool { return p.ival != nil }
-
 // PredictInterval returns the p10/p50/p90 band for one feature vector:
 // the point prediction plus conformal residual offsets, with
 // p10 <= p50 <= p90 enforced. Uncalibrated predictors return the
@@ -156,21 +143,6 @@ func (p *Predictor) PredictInterval(x []float64) ml.Interval {
 		return ml.Degenerate(mid)
 	}
 	return p.ival.Interval(mid)
-}
-
-// PredictIntervalBatch returns the p10/p50/p90 band for every row of X.
-// Element i equals PredictInterval(X[i]) exactly.
-func (p *Predictor) PredictIntervalBatch(X [][]float64) []ml.Interval {
-	mids := ml.PredictAll(p.reg, X)
-	out := make([]ml.Interval, len(mids))
-	for i, mid := range mids {
-		if p.ival == nil {
-			out[i] = ml.Degenerate(mid)
-		} else {
-			out[i] = p.ival.Interval(mid)
-		}
-	}
-	return out
 }
 
 // Group returns the predictor's feature group.
