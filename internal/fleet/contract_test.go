@@ -105,9 +105,11 @@ func TestFleetNegotiationMatrix(t *testing.T) {
 // replica admits. wire.MaxBatchRows rows are served whole through a
 // one-shard fleet; one row more, or an /ingest body past
 // wire.MaxBodyBytes, gets the solo server's own 400 from the router
-// instead of a 200 whose rows all failed downstream; a JSON body with
-// more than whitespace after its array gets the same 400 from both,
-// while a trailing newline is still served; and an /ingest body inside
+// instead of a 200 whose rows all failed downstream; JSON bodies that
+// only the encoding/json fallback decodes get the same rows from both;
+// a JSON body with more than whitespace after its array gets the same
+// 400 from both, while a trailing newline is still served; and an
+// /ingest body inside
 // the bound reaches the replica inside it too, even when a re-encoding
 // of its samples would not fit.
 func TestFleetEnforcesReplicaBounds(t *testing.T) {
@@ -158,6 +160,32 @@ func TestFleetEnforcesReplicaBounds(t *testing.T) {
 		}
 	}
 	sameRejection("MaxBatchRows+1 rows", "/predict/batch", batch(wire.MaxBatchRows+1))
+
+	// JSON bodies that encoding/json accepts but the batch scanner
+	// leaves to it: both front doors serve each one, as its canonical
+	// twin, in the same frame.
+	lat, lon := points[0][0], points[0][1]
+	twin := fmt.Sprintf(`[{"lat":%v,"lon":%v}]`, lat, lon)
+	for _, tc := range []struct{ name, body, twin string }{
+		{"upper-case key", fmt.Sprintf(`[{"LAT":%v,"lon":%v}]`, lat, lon), twin},
+		{"unknown member holding an object", fmt.Sprintf(`[{"lat":%v,"lon":%v,"note":{"by":"x"}}]`, lat, lon), twin},
+		{"null speed", fmt.Sprintf(`[{"lat":%v,"lon":%v,"speed":null}]`, lat, lon), twin},
+		{"null row", `[null]`, `[{"lat":0,"lon":0}]`},
+	} {
+		fl := serve(f.Router(), http.MethodPost, "/predict/batch", "application/json", wire.ContentType, []byte(tc.body))
+		so := serve(solo, http.MethodPost, "/predict/batch", "application/json", wire.ContentType, []byte(tc.body))
+		tw := serve(solo, http.MethodPost, "/predict/batch", "application/json", wire.ContentType, []byte(tc.twin))
+		if fl.Code != http.StatusOK || so.Code != http.StatusOK || tw.Code != http.StatusOK {
+			t.Fatalf("%s: fleet %d %.200s, solo %d %.200s, twin %d", tc.name, fl.Code, fl.Body, so.Code, so.Body, tw.Code)
+		}
+		if !bytes.Equal(fl.Body.Bytes(), so.Body.Bytes()) || !bytes.Equal(so.Body.Bytes(), tw.Body.Bytes()) {
+			t.Fatalf("%s: fleet, solo and canonical-twin frames differ", tc.name)
+		}
+		rows, err := wire.DecodeResults(fl.Body.Bytes(), 1)
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("%s: %d rows, %v", tc.name, len(rows), err)
+		}
+	}
 
 	ingestOne, err := json.Marshal(ingestSamples(t, 1))
 	if err != nil {

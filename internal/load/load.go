@@ -51,7 +51,8 @@ const (
 
 // SLO is a per-route latency target in milliseconds; zero fields are
 // not checked. A route also fails its SLO when more than MaxErrFrac of
-// its measured requests error.
+// its measured requests error or are shed (429/503): a refused request
+// meets no latency limit.
 type SLO struct {
 	P50Ms float64 `json:"p50_ms,omitempty"`
 	P99Ms float64 `json:"p99_ms,omitempty"`
@@ -160,8 +161,8 @@ type ue struct {
 
 	lat    map[string][]float64 // measured-window latencies, ms
 	errs   map[string]int
+	shed   map[string]int // 429/503 backpressure responses
 	total  map[string]int
-	shed   int // 429/503 backpressure responses, measured window
 	target string
 }
 
@@ -200,6 +201,7 @@ func Run(ctx context.Context, cfg Config, city *cityscape.City, replay *dataset.
 			src:      src,
 			lat:      map[string][]float64{},
 			errs:     map[string]int{},
+			shed:     map[string]int{},
 			total:    map[string]int{},
 			target:   cfg.BaseURL,
 		}
@@ -345,8 +347,8 @@ func (u *ue) drive(ctx context.Context, cfg Config, tokens <-chan struct{}, inge
 				u.errs[route]++
 			case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
 				// Deliberate shed under backpressure: counted apart from
-				// hard failures.
-				u.shed++
+				// hard failures, but against the route's SLO alike.
+				u.shed[route]++
 			case status >= 400:
 				u.errs[route]++
 			default:

@@ -127,6 +127,61 @@ func TestRunOpenLoopHitsTarget(t *testing.T) {
 	}
 }
 
+// A route that sheds every request fails its own SLO and no other
+// route's: the report counts the 429s against /predict/batch, keeps
+// them out of its latencies and out of /predict's counts.
+func TestRunCountsShedsPerRoute(t *testing.T) {
+	city := smallCity(80)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == RouteBatch {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		w.Write([]byte("{}"))
+	})}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	cfg := Config{
+		BaseURL:  "http://" + ln.Addr().String(),
+		UEs:      8,
+		Duration: 500 * time.Millisecond,
+		Warmup:   100 * time.Millisecond,
+		Seed:     80,
+		SLOs: map[string]SLO{
+			RoutePredict: {P99Ms: 10000},
+			RouteBatch:   {P99Ms: 10000},
+		},
+	}
+	rep, err := Run(context.Background(), cfg, city, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRoute := map[string]RouteReport{}
+	for _, rr := range rep.Routes {
+		byRoute[rr.Route] = rr
+	}
+	batch, pred := byRoute[RouteBatch], byRoute[RoutePredict]
+	if batch.Requests == 0 || batch.Shed != batch.Requests || batch.Errors != 0 || batch.P50Ms != 0 {
+		t.Fatalf("shedding route: %+v", batch)
+	}
+	if batch.SLOPass == nil || *batch.SLOPass {
+		t.Fatalf("a route that sheds every request passed its SLO: %+v", batch)
+	}
+	if pred.Requests == 0 || pred.Shed != 0 || pred.SLOPass == nil || !*pred.SLOPass {
+		t.Fatalf("serving route: %+v", pred)
+	}
+	if rep.SLOVerdict != "fail" {
+		t.Fatalf("verdict %q with a shedding route", rep.SLOVerdict)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	city := smallCity(79)
 	if _, err := Run(context.Background(), Config{}, city, nil); err == nil {
@@ -149,6 +204,10 @@ func TestSLOVerdicts(t *testing.T) {
 	pass, _ = checkSLO(RouteReport{Requests: 100, Errors: 5, P50Ms: 1}, SLO{P50Ms: 10})
 	if pass {
 		t.Fatal("5% errors must fail the default 1% budget")
+	}
+	pass, _ = checkSLO(RouteReport{Requests: 100, Shed: 5, P50Ms: 1}, SLO{P50Ms: 10})
+	if pass {
+		t.Fatal("5% shed must fail the default 1% budget like errors")
 	}
 	pass, _ = checkSLO(RouteReport{}, SLO{P99Ms: 100})
 	if pass {

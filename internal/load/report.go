@@ -18,6 +18,7 @@ type RouteReport struct {
 	Route    string  `json:"route"`
 	Requests int     `json:"requests"`
 	Errors   int     `json:"errors"`
+	Shed     int     `json:"shed"` // 429/503 refusals: in Requests, not in the quantiles
 	P50Ms    float64 `json:"p50_ms"`
 	P95Ms    float64 `json:"p95_ms"`
 	P99Ms    float64 `json:"p99_ms"`
@@ -42,7 +43,6 @@ type Report struct {
 	TargetQPS   float64 `json:"target_qps,omitempty"`
 	AchievedQPS float64 `json:"achieved_qps"`
 	DurationSec float64 `json:"duration_sec"`
-	Shed        int     `json:"shed_responses"`
 
 	Routes []RouteReport `json:"routes"`
 
@@ -53,8 +53,8 @@ type Report struct {
 func buildReport(cfg Config, city *cityscape.City, ues []*ue, open bool, measured time.Duration) *Report {
 	lat := map[string][]float64{}
 	errs := map[string]int{}
+	shed := map[string]int{}
 	total := map[string]int{}
-	shed := 0
 	for _, u := range ues {
 		for r, xs := range u.lat {
 			lat[r] = append(lat[r], xs...)
@@ -62,10 +62,12 @@ func buildReport(cfg Config, city *cityscape.City, ues []*ue, open bool, measure
 		for r, n := range u.errs {
 			errs[r] += n
 		}
+		for r, n := range u.shed {
+			shed[r] += n
+		}
 		for r, n := range u.total {
 			total[r] += n
 		}
-		shed += u.shed
 	}
 
 	routes := make([]string, 0, len(total))
@@ -84,7 +86,6 @@ func buildReport(cfg Config, city *cityscape.City, ues []*ue, open bool, measure
 		UEs:         cfg.UEs,
 		Mode:        "closed",
 		DurationSec: measured.Seconds(),
-		Shed:        shed,
 		SLOVerdict:  "none",
 	}
 	if open {
@@ -97,7 +98,7 @@ func buildReport(cfg Config, city *cityscape.City, ues []*ue, open bool, measure
 	for _, r := range routes {
 		xs := lat[r]
 		sort.Float64s(xs)
-		rr := RouteReport{Route: r, Requests: total[r], Errors: errs[r]}
+		rr := RouteReport{Route: r, Requests: total[r], Errors: errs[r], Shed: shed[r]}
 		requests += total[r]
 		if len(xs) > 0 {
 			rr.P50Ms = stats.Quantile(xs, 0.50)
@@ -138,9 +139,9 @@ func checkSLO(rr RouteReport, slo SLO) (bool, string) {
 	if rr.Requests == 0 {
 		why = append(why, "no measured requests")
 	}
-	if rr.Requests > 0 && float64(rr.Errors)/float64(rr.Requests) > maxErr {
-		why = append(why, fmt.Sprintf("error rate %.2f%% > %.2f%%",
-			100*float64(rr.Errors)/float64(rr.Requests), 100*maxErr))
+	if failed := rr.Errors + rr.Shed; rr.Requests > 0 && float64(failed)/float64(rr.Requests) > maxErr {
+		why = append(why, fmt.Sprintf("error+shed rate %.2f%% > %.2f%%",
+			100*float64(failed)/float64(rr.Requests), 100*maxErr))
 	}
 	if slo.P50Ms > 0 && rr.P50Ms > slo.P50Ms {
 		why = append(why, fmt.Sprintf("p50 %.1fms > %.1fms", rr.P50Ms, slo.P50Ms))
@@ -173,13 +174,10 @@ func (r *Report) Summary() string {
 	} else {
 		fmt.Fprintf(&b, "  achieved %.1f qps", r.AchievedQPS)
 	}
-	if r.Shed > 0 {
-		fmt.Fprintf(&b, " (%d shed)", r.Shed)
-	}
 	b.WriteString("\n")
 	for _, rr := range r.Routes {
-		fmt.Fprintf(&b, "  %-15s %6d req %4d err  p50 %7.2fms  p95 %7.2fms  p99 %7.2fms",
-			rr.Route, rr.Requests, rr.Errors, rr.P50Ms, rr.P95Ms, rr.P99Ms)
+		fmt.Fprintf(&b, "  %-15s %6d req %4d err %4d shed  p50 %7.2fms  p95 %7.2fms  p99 %7.2fms",
+			rr.Route, rr.Requests, rr.Errors, rr.Shed, rr.P50Ms, rr.P95Ms, rr.P99Ms)
 		if rr.SLOPass != nil {
 			if *rr.SLOPass {
 				b.WriteString("  SLO ok")

@@ -77,6 +77,7 @@ type Connection struct {
 	outageLeft   int
 	belowDropAge int
 	fadeDB       float64
+	links        []LinkSample // EvalAll's buffer, refilled every Tick
 }
 
 // Temporal fading process: AR(1)-correlated small-scale fading applied on
@@ -106,7 +107,8 @@ func NewConnection(env *Environment, lte *LTEModel, src *rng.Source) *Connection
 func (c *Connection) Tick(ue UEState, otherSharingUEs int) TickObservation {
 	// Handoff decisions use mean (fade-free) links; the serving link's
 	// instantaneous quality adds the temporally correlated fading state.
-	links, best := c.env.EvalAll(ue, nil)
+	links, best := c.env.EvalAll(c.links, ue, nil)
+	c.links = links
 	c.fadeDB = fadeRho*c.fadeDB +
 		c.src.NormMeanStd(0, fadeSigmaDB*math.Sqrt(1-fadeRho*fadeRho))
 	obs := TickObservation{CellID: -1}

@@ -205,3 +205,21 @@ func (c *Connection) ServingPanelID() int {
 	}
 	return c.env.Panels[c.servingPanel].ID
 }
+
+// TestTickAllocs: a Connection evaluates its links into one buffer it
+// keeps, so a simulated second allocates nothing once the first has
+// sized it — on 5G near the panel and on LTE past its reach alike.
+func TestTickAllocs(t *testing.T) {
+	env := testEnv()
+	c := newTestConn(env)
+	ue := UEState{Pos: geo.Point{X: 0, Y: 30}, Heading: 180, Mode: Walking, SpeedKmh: 4}
+	c.Tick(ue, 0)
+	step := 0
+	if n := testing.AllocsPerRun(200, func() {
+		step++
+		ue.Pos.Y = 30 + float64(step%100)*25
+		c.Tick(ue, 1)
+	}); n != 0 {
+		t.Fatalf("Tick allocates %v times per simulated second", n)
+	}
+}

@@ -198,10 +198,14 @@ func (e *Environment) EvalLink(p *Panel, ue UEState, src *rng.Source) LinkSample
 	}
 }
 
-// EvalAll computes link samples for every panel, returning them in panel
+// EvalAll computes link samples for every panel into dst, reusing its
+// backing array when it is large enough, and returns them in panel
 // order along with the index of the strongest mean link.
-func (e *Environment) EvalAll(ue UEState, src *rng.Source) ([]LinkSample, int) {
-	links := make([]LinkSample, len(e.Panels))
+func (e *Environment) EvalAll(dst []LinkSample, ue UEState, src *rng.Source) ([]LinkSample, int) {
+	if cap(dst) < len(e.Panels) {
+		dst = make([]LinkSample, len(e.Panels))
+	}
+	links := dst[:len(e.Panels)]
 	best := -1
 	bestRx := math.Inf(-1)
 	for i := range e.Panels {

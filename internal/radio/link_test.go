@@ -178,7 +178,7 @@ func TestEvalAllPicksStrongest(t *testing.T) {
 		Shadow: NewShadowField(7),
 	}
 	ue := UEState{Pos: geo.Point{X: 0, Y: 20}, Heading: 0, Mode: Stationary}
-	links, best := env.EvalAll(ue, nil)
+	links, best := env.EvalAll(nil, ue, nil)
 	if len(links) != 2 {
 		t.Fatal("want 2 links")
 	}
@@ -186,7 +186,7 @@ func TestEvalAllPicksStrongest(t *testing.T) {
 		t.Fatalf("UE at 20 m from panel 1 should prefer it, got %d", best)
 	}
 	ue.Pos = geo.Point{X: 0, Y: 180}
-	_, best = env.EvalAll(ue, nil)
+	_, best = env.EvalAll(links, ue, nil)
 	if best != 1 {
 		t.Fatalf("UE at 20 m from panel 2 should prefer it, got %d", best)
 	}

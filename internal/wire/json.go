@@ -18,9 +18,10 @@ type ErrorBody struct {
 	Error string `json:"error"`
 }
 
-// encodePool recycles the JSON staging buffers of WriteJSON so the hot
-// serving paths do not grow a fresh encoder buffer per response.
-var encodePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufPool recycles the JSON staging buffers of WriteJSON and the
+// request bodies DecodeBatch reads, so the hot serving paths grow no
+// fresh buffer per response or request.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // jsonCT is the Content-Type value shared by every JSON response.
 var jsonCT = []string{"application/json"}
@@ -35,14 +36,14 @@ func SetJSONType(w http.ResponseWriter) {
 
 // WriteJSON sends v as a JSON body with the given status.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	buf := encodePool.Get().(*bytes.Buffer)
+	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	// Encode into the pooled buffer first: the bytes on the wire are the
 	// same as encoding straight into w (Encoder's trailing newline
 	// included), but a marshal failure can still become a clean 500
 	// instead of a torn body.
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		encodePool.Put(buf)
+		bufPool.Put(buf)
 		SetJSONType(w)
 		w.WriteHeader(http.StatusInternalServerError)
 		_, _ = w.Write([]byte(`{"error":"response encoding failed"}` + "\n"))
@@ -51,7 +52,7 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	SetJSONType(w)
 	w.WriteHeader(code)
 	_, _ = w.Write(buf.Bytes())
-	encodePool.Put(buf)
+	bufPool.Put(buf)
 }
 
 // WriteJSONBytes sends a pre-marshalled JSON body without re-encoding.

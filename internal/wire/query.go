@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -175,32 +176,69 @@ func wantIntervals(rawQuery string) bool {
 // must end where its request ends: a frame with trailing bytes, or an
 // array followed by more than whitespace, is rejected. It enforces
 // MaxBatchRows and validates every row; the error text is
-// client-facing. The caller bounds the body's bytes (MaxBodyBytes).
+// client-facing. The caller bounds the body's bytes (MaxBodyBytes),
+// and the body is read once, into a pooled buffer. A JSON body in the
+// form every encoder of []Query emits is scanned (scanQueries); any
+// other goes to DecodeJSON, so both accept the same bodies and decode
+// the same bits.
 func DecodeBatch(contentType string, body io.Reader) ([]Query, error) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer bufPool.Put(buf)
+	_, rerr := buf.ReadFrom(body)
 	var qs []Query
 	if contentType == ContentType {
-		b, err := io.ReadAll(body)
-		if err != nil {
+		if rerr != nil {
 			return nil, errors.New("unreadable request body")
 		}
-		if qs, err = DecodeQueries(b, MaxBatchRows); err != nil {
+		var err error
+		if qs, err = DecodeQueries(buf.Bytes(), MaxBatchRows); err != nil {
 			return nil, err
 		}
-	} else if err := DecodeJSON(body, &qs); err != nil {
-		return nil, errors.New("body must be a JSON array of {lat, lon[, speed][, bearing]} queries")
+	} else {
+		// A read error fails DecodeJSON too: it reads to EOF.
+		if rerr != nil {
+			return nil, errJSONBatch
+		}
+		var err error
+		if qs, err = decodeJSONBatch(buf.Bytes()); err != nil {
+			return nil, errJSONBatch
+		}
 	}
+	if err := checkBatch(qs); err != nil {
+		return nil, err
+	}
+	return qs, nil
+}
+
+// decodeJSONBatch scans b, or decodes it through DecodeJSON when it is
+// outside the scanner's form.
+func decodeJSONBatch(b []byte) ([]Query, error) {
+	if qs, ok := scanQueries(b); ok {
+		return qs, nil
+	}
+	var qs []Query
+	err := DecodeJSON(bytes.NewReader(b), &qs)
+	return qs, err
+}
+
+// errJSONBatch answers every JSON batch body that does not decode.
+var errJSONBatch = errors.New("body must be a JSON array of {lat, lon[, speed][, bearing]} queries")
+
+// checkBatch applies the batch bounds and validates every row.
+func checkBatch(qs []Query) error {
 	if len(qs) == 0 {
-		return nil, errors.New("empty batch")
+		return errors.New("empty batch")
 	}
 	if len(qs) > MaxBatchRows {
-		return nil, fmt.Errorf("batch of %d exceeds the %d-query limit", len(qs), MaxBatchRows)
+		return fmt.Errorf("batch of %d exceeds the %d-query limit", len(qs), MaxBatchRows)
 	}
 	for i := range qs {
 		if err := qs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
+			return fmt.Errorf("query %d: %w", i, err)
 		}
 	}
-	return qs, nil
+	return nil
 }
 
 // Form is the negotiated form of a /predict/batch answer.
