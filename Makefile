@@ -68,8 +68,10 @@ race-load:
 race-abr:
 	$(GO) test -race ./internal/abr/... ./internal/mapserver/... ./internal/fleet/... .
 
-# The serial-vs-parallel parity audit: byte-identical campaigns, models
-# and batch predictions across worker counts.
+# The serial-vs-parallel parity audit: byte-identical campaigns and
+# models across worker counts, and batch predictions equal to the
+# per-row interpreted ones (batches run on one goroutine, so they do not
+# vary by worker count).
 parity:
 	$(GO) test -race -run 'Parallel|Parity|Refit|Batch|Split|CheckpointEncode' ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/mapserver/... .
 
@@ -77,8 +79,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Machine-readable serial-vs-parallel speedup report (generate /
-# train_chain / predict). The JSON records num_cpu and go_max_procs so
-# speedups are auditable against the hardware they ran on.
+# train_chain). The JSON records num_cpu and go_max_procs so speedups
+# are auditable against the hardware they ran on.
 bench-json:
 	$(GO) run ./cmd/lumosbench -parbench BENCH_parallel.json
 

@@ -12,18 +12,15 @@ import (
 	"lumos5g"
 	"lumos5g/internal/cityscape"
 	"lumos5g/internal/env"
-	"lumos5g/internal/features"
-	"lumos5g/internal/ml/gbdt"
 	"lumos5g/internal/sim"
 )
 
 // The -parbench mode proves out the deterministic worker-pool layer: it
-// times the parallelised hot paths — campaign generation, the default
-// fallback chain's training, batch prediction — serial versus parallel,
-// verifies the outputs agree, and writes the numbers as machine-readable
-// JSON. On a single-core machine the speedups hover around 1× (the
-// report records num_cpu so that is auditable); correctness is asserted
-// regardless.
+// times the parallelised hot paths — campaign generation and the default
+// fallback chain's training — serial versus parallel, verifies the
+// outputs agree, and writes the numbers as machine-readable JSON. On a
+// single-core machine the speedups hover around 1× (the report records
+// num_cpu so that is auditable); correctness is asserted regardless.
 
 // parBenchRuns is how many times each side of every entry is timed. The
 // sides alternate which runs first and the report keeps each side's
@@ -145,8 +142,7 @@ func runParBench(path string, workers int, seed uint64) error {
 	// trainChain trains with w workers and leaves the saved bytes in *out.
 	trainChain := func(w int, out *[]byte) func() error {
 		return func() error {
-			sc := lumos5g.Scale{Seed: seed}
-			sc.GBDT.Workers = w
+			sc := lumos5g.Scale{Seed: seed, Workers: w}
 			c, err := lumos5g.TrainCalibratedFallbackChain(cityD, lumos5g.DefaultFallbackGroups, lumos5g.ModelGDBT, sc)
 			if err != nil {
 				return fmt.Errorf("parbench: train chain (workers %d): %w", w, err)
@@ -166,38 +162,6 @@ func runParBench(path string, workers int, seed uint64) error {
 	}
 	rep.Benchmarks = append(rep.Benchmarks,
 		entry("train_chain", cityD.Len(), serialChainT, parChainT, bytes.Equal(serialChain, parChain)))
-
-	// Predict: the compiled kernel over every row on one goroutine vs
-	// PredictBatch, which splits the same kernel across the pool, on one
-	// GBDT fitted to the cleaned campaign's L+M feature matrix. Both
-	// sides run compiled code, so the ratio is the row fan-out's alone.
-	clean, _ := serialD.QualityFilter()
-	mat := features.Build(clean, features.GroupLM)
-	m := gbdt.New(gbdt.Config{Estimators: 60, MaxDepth: 6, Seed: seed, Workers: workers})
-	if err := m.Fit(mat.X, mat.Y); err != nil {
-		return fmt.Errorf("parbench: fit: %w", err)
-	}
-	comp := m.Compiled()
-	if comp == nil {
-		return fmt.Errorf("parbench: fitted GBDT has no compiled kernel")
-	}
-	var serialPred, parPred []float64
-	serialBatch, parBatch, err := medianPair(
-		func() error {
-			serialPred = make([]float64, len(mat.X))
-			comp.PredictInto(mat.X, serialPred, 0, len(mat.X))
-			return nil
-		},
-		func() error { parPred = m.PredictBatch(mat.X); return nil })
-	if err != nil {
-		return err
-	}
-	predSame := len(serialPred) == len(parPred)
-	for i := 0; predSame && i < len(serialPred); i++ {
-		predSame = serialPred[i] == parPred[i]
-	}
-	rep.Benchmarks = append(rep.Benchmarks,
-		entry("predict", len(mat.X), serialBatch, parBatch, predSame))
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

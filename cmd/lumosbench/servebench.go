@@ -16,18 +16,17 @@ import (
 	"lumos5g/internal/mapserver"
 	"lumos5g/internal/ml/gbdt"
 	"lumos5g/internal/ml/nn"
-	"lumos5g/internal/par"
 	"lumos5g/internal/wire"
 )
 
 // The -servebench mode measures the serving fast path end to end: the
 // compiled structure-of-arrays tree kernel against the interpreted
-// per-row walk (serial and parallel, with a bit-identity check), the
-// compiled LSTM kernel against the interpreted nn forward pass (also
-// bit-identity checked), and the HTTP handlers — /predict cold vs
-// cached, JSON batch vs the columnar binary frame. It writes the
-// numbers as BENCH_serve.json, alongside the pre-kernel handler
-// baseline so the allocation reduction is auditable in one file.
+// per-row walk (with a bit-identity check), the compiled LSTM kernel
+// against the interpreted nn forward pass (also bit-identity checked),
+// and the HTTP handlers — /predict cold vs cached, JSON batch vs the
+// columnar binary frame. It writes the numbers as BENCH_serve.json,
+// alongside the pre-kernel handler baseline so the allocation
+// reduction is auditable in one file.
 //
 // -selftest runs the same parity and allocation-budget checks without
 // the timing loops, as a tier-1 gate: it exits non-zero if any compiled
@@ -83,13 +82,13 @@ type serveBenchReport struct {
 	KernelRuns int `json:"kernel_runs"`
 
 	Kernel []kernelBenchEntry `json:"kernel"`
-	// Identical reports that the compiled tree kernel (single, serial
-	// batch, parallel batch) reproduced the interpreted Predict bit for
-	// bit.
+	// Identical reports that the compiled tree kernel (single row, and
+	// batch through the model's PredictBatch) reproduced the interpreted
+	// Predict bit for bit.
 	Identical bool `json:"identical"`
-	// Compiled-vs-interpreted batch speedups at equal parallelism.
-	BatchSpeedupSerial   float64 `json:"batch_speedup_serial"`
-	BatchSpeedupParallel float64 `json:"batch_speedup_parallel"`
+	// BatchSpeedupSerial is the compiled-vs-interpreted batch speedup,
+	// both on one goroutine.
+	BatchSpeedupSerial float64 `json:"batch_speedup_serial"`
 
 	// LSTM is the compiled recurrent kernel's parity block.
 	LSTM lstmKernelReport `json:"lstm"`
@@ -384,7 +383,6 @@ func runServeBench(path string, seed uint64) error {
 	}
 	X := mat.X
 	n := len(X)
-	workers := runtime.GOMAXPROCS(0)
 	rep.ModelTrees = comp.NumTrees()
 	rep.ModelRows = n
 	rep.TreeKernel = comp.Kernel()
@@ -395,11 +393,9 @@ func runServeBench(path string, seed uint64) error {
 		want[i] = m.Predict(x)
 	}
 	rep.Identical = true
-	serialOut := make([]float64, n)
-	comp.PredictInto(X, serialOut, 0, n)
-	parOut := m.PredictBatch(X)
+	batchOut := m.PredictBatch(X)
 	for i := range X {
-		if serialOut[i] != want[i] || parOut[i] != want[i] || comp.Predict(X[i]) != want[i] {
+		if batchOut[i] != want[i] || comp.Predict(X[i]) != want[i] {
 			rep.Identical = false
 			break
 		}
@@ -433,35 +429,12 @@ func runServeBench(path string, seed uint64) error {
 		out := make([]float64, n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			comp.PredictInto(X, out, 0, n)
+			comp.PredictInto(X, out)
 		}
 		sinkSlice = out
 	})
 	rep.Kernel = append(rep.Kernel, kernelEntry("batch_compiled_serial", n, rBatchCompSerial))
-	// The pre-kernel PredictBatch fanned per-row interpreted walks across
-	// the worker pool; reconstruct it so the parallel comparison is
-	// like for like.
-	rBatchInterpPar := fastest(func(b *testing.B) {
-		out := make([]float64, n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			par.Chunks(workers, n, func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					out[j] = m.Predict(X[j])
-				}
-			})
-		}
-		sinkSlice = out
-	})
-	rep.Kernel = append(rep.Kernel, kernelEntry("batch_interpreted_parallel", n, rBatchInterpPar))
-	rBatchCompPar := fastest(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkSlice = m.PredictBatch(X)
-		}
-	})
-	rep.Kernel = append(rep.Kernel, kernelEntry("batch_compiled_parallel", n, rBatchCompPar))
 	rep.BatchSpeedupSerial = float64(rBatchInterpSerial.NsPerOp()) / float64(rBatchCompSerial.NsPerOp())
-	rep.BatchSpeedupParallel = float64(rBatchInterpPar.NsPerOp()) / float64(rBatchCompPar.NsPerOp())
 
 	// Recurrent kernel: parity block plus timing rows (the serving
 	// sequence form is a length-1 window — the Tabular adapter's shape).
@@ -562,8 +535,8 @@ func runServeBench(path string, seed uint64) error {
 	for _, k := range rep.Kernel {
 		fmt.Printf("%-27s %9.0f ns/op  %8.1f ns/row\n", k.Name, k.NsPerOp, k.NsPerRow)
 	}
-	fmt.Printf("batch speedup: %.2fx serial, %.2fx parallel  identical=%t  kernel=%s\n",
-		rep.BatchSpeedupSerial, rep.BatchSpeedupParallel, rep.Identical, rep.TreeKernel)
+	fmt.Printf("batch speedup: %.2fx  identical=%t  kernel=%s\n",
+		rep.BatchSpeedupSerial, rep.Identical, rep.TreeKernel)
 	fmt.Printf("lstm: identical=%t\n", rep.LSTM.Identical)
 	for _, h := range rep.Handlers {
 		fmt.Printf("%-27s %9.0f ns/op  %4d allocs/op  %6d B/op  %10.0f q/s\n",

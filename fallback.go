@@ -197,7 +197,7 @@ func TrainCalibratedFallbackChain(d *Dataset, groups []FeatureGroup, m Model, sc
 // predictor per group with train (Train or TrainCalibrated), the groups
 // defaulting to DefaultFallbackGroups, and returns the usable tiers in
 // group order with the dataset's harmonic-mean prior. The tiers are
-// independent and share only the read-only d, so up to tierWorkers of
+// independent and share only the read-only d, so up to sc.Workers of
 // them train at once: each next group, in order, goes to the first free
 // worker and lands in its own slot. The chain is then assembled in group
 // order exactly as a serial loop would: groups with no usable rows are
@@ -210,7 +210,7 @@ func trainTiers(d *Dataset, groups []FeatureGroup, m Model, sc Scale,
 	}
 	fitted := make([]*Predictor, len(groups))
 	errs := make([]error, len(groups))
-	par.Do(tierWorkers(m, sc), len(groups), func(i int) {
+	par.Do(par.Workers(sc.Workers), len(groups), func(i int) {
 		fitted[i], errs[i] = train(d, groups[i], m, sc)
 	})
 	var tiers []*Predictor
@@ -228,20 +228,6 @@ func trainTiers(d *Dataset, groups []FeatureGroup, m Model, sc Scale,
 		return nil, 0, fmt.Errorf("lumos5g: cannot derive fallback prior from dataset: %v", err)
 	}
 	return tiers, prior, nil
-}
-
-// tierWorkers bounds how many chain tiers train at once: the worker
-// count the Scale carries for m's family (GBDT.Workers, RF.Workers; 0
-// means one per CPU), so Workers 1 trains one tier at a time. Families
-// without a worker count train their tiers one after another.
-func tierWorkers(m Model, sc Scale) int {
-	switch m {
-	case ModelGDBT:
-		return par.Workers(sc.GBDT.Workers)
-	case ModelRF:
-		return par.Workers(sc.RF.Workers)
-	}
-	return 1
 }
 
 // SetLastResortOffsets attaches conformal offsets to the chain's

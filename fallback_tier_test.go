@@ -11,13 +11,13 @@ import (
 	"time"
 )
 
-// chainBytes trains a chain with train at the given GBDT worker count
+// chainBytes trains a chain with train at the given tier worker count
 // and returns its Save bytes.
 func chainBytes(t *testing.T, train func(*Dataset, []FeatureGroup, Model, Scale) (*FallbackChain, error),
 	d *Dataset, groups []FeatureGroup, workers int) []byte {
 	t.Helper()
 	sc := testScale()
-	sc.GBDT.Workers = workers
+	sc.Workers = workers
 	c, err := train(d, groups, ModelGDBT, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -66,6 +66,39 @@ func TestChainTierWorkerParity(t *testing.T) {
 	}
 }
 
+// TestChainTierWorkerParityAnyFamily: Scale.Workers bounds the tier loop
+// for every model family, so KNN and RF chains trained with their tiers
+// concurrent (0) and one at a time (1) predict the same bits on every
+// row. Only GDBT tiers save, so predictions stand in for Save bytes.
+func TestChainTierWorkerParityAnyFamily(t *testing.T) {
+	a, _ := AreaByName("Airport")
+	d, _ := CleanDataset(GenerateArea(a, tinyCampaign()))
+	for _, m := range []Model{ModelKNN, ModelRF} {
+		var preds [2][]float64
+		for k, w := range []int{1, 0} {
+			sc := testScale()
+			sc.RF.Trees = 5
+			sc.Workers = w
+			c, err := TrainFallbackChain(d, nil, m, sc)
+			if err != nil {
+				t.Fatalf("%v at Workers %d: %v", m, w, err)
+			}
+			for _, p := range c.Tiers() {
+				pred, _ := p.PredictDataset(d)
+				preds[k] = append(preds[k], pred...)
+			}
+		}
+		if len(preds[0]) == 0 || len(preds[0]) != len(preds[1]) {
+			t.Fatalf("%v: %d vs %d predictions", m, len(preds[0]), len(preds[1]))
+		}
+		for i := range preds[0] {
+			if math.Float64bits(preds[0][i]) != math.Float64bits(preds[1][i]) {
+				t.Fatalf("%v row %d: Workers 0 predicts %v, Workers 1 %v", m, i, preds[1][i], preds[0][i])
+			}
+		}
+	}
+}
+
 // TestChainTierParallelErrors: the chain reports the first failing
 // group in group order when every tier fails (an unsupported model).
 // A missing connection feature fails nothing: a record with an absent
@@ -80,7 +113,7 @@ func TestChainTierParallelErrors(t *testing.T) {
 		TrainFallbackChain, TrainCalibratedFallbackChain,
 	} {
 		sc := testScale()
-		sc.GBDT.Workers = 0
+		sc.Workers = 0
 		if _, err := train(d, nil, Model(99), sc); err == nil || !strings.Contains(err.Error(), "tier L+M+C:") {
 			t.Fatalf("unsupported model: err %v, want the L+M+C tier's", err)
 		}
@@ -131,7 +164,7 @@ func TestChainTierParallelDealing(t *testing.T) {
 			return &Predictor{group: g, model: m}, nil
 		}
 		sc := Scale{Seed: 1}
-		sc.GBDT.Workers = w
+		sc.Workers = w
 		tiers, prior, err := trainTiers(d, groups, ModelGDBT, sc, stub, "stub")
 		if err != nil || !(prior > 0) {
 			t.Fatalf("w=%d: prior %v err %v", w, prior, err)
@@ -152,7 +185,7 @@ func TestChainTierParallelDealing(t *testing.T) {
 		return nil, errors.New("stub failure")
 	}
 	sc := Scale{Seed: 1}
-	sc.GBDT.Workers = 3
+	sc.Workers = 3
 	if _, _, err := trainTiers(d, []FeatureGroup{GroupLMC, GroupLM, GroupL}, ModelGDBT, sc, fail, "stub"); err == nil ||
 		err.Error() != "lumos5g: train stub tier L+M+C: stub failure" {
 		t.Fatalf("err %v, want the first group's", err)

@@ -79,6 +79,12 @@ type Scale struct {
 	TrainFrac float64
 	// Seed drives splits and model seeds.
 	Seed uint64
+	// Workers bounds how many tiers the chain trainers
+	// (lumos5g.TrainFallbackChain, TrainCalibratedFallbackChain) train
+	// at once; <=0 means one per CPU, and 1 trains them one after
+	// another. Each fit runs on its tier's goroutine, and the chain
+	// saves to the same bytes for every count.
+	Workers int
 }
 
 func (s Scale) withDefaults() Scale {

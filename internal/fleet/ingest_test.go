@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lumos5g"
 	"lumos5g/internal/ingest"
@@ -134,7 +135,8 @@ func TestFleetIngestRoutedAccounting(t *testing.T) {
 // samples counted as dropped, not failed.
 func TestFleetIngestBackpressure(t *testing.T) {
 	cfg := testFleetConfig()
-	cfg.Ingest = &ingest.Config{QueueSize: 1}
+	// No drain between the posts below, so a full queue stays full.
+	cfg.Ingest = &ingest.Config{QueueSize: 1, Refit: ingest.RefitConfig{DrainInterval: time.Hour}}
 	f := startTestFleet(t, cfg)
 
 	// Every copy targets the same cell, hence the same owning shard.

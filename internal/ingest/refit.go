@@ -41,7 +41,8 @@ type RefitConfig struct {
 	// Interval between refit attempts. Default 30s.
 	Interval time.Duration
 	// DrainInterval between queue->window drains, so the window keeps
-	// filling between refits. Default Interval/8 (min 100ms).
+	// filling between refits and the queue keeps room for uploads.
+	// Default 100ms, whatever Interval is.
 	DrainInterval time.Duration
 	// MinSamples in the window before a refit fires. Default 200.
 	MinSamples int
@@ -56,19 +57,14 @@ type RefitConfig struct {
 	// window of live samples never poisons training with NaNs the way
 	// absent LTE sensors would under GroupLMC.
 	Groups []lumos5g.FeatureGroup
-	// Model for each tier. The zero value maps to GDBT (the paper's
-	// best) rather than to ModelKNN's zero enum — a refit model must
-	// survive the artifact envelope, which only GDBT does.
-	Model lumos5g.Model
 	// Seed for split and training determinism; the refit sequence
 	// number is folded in so successive refits resample.
 	Seed uint64
-	// Workers bounds how many chain tiers a refit trains at once,
-	// exactly like offline training: n>0 uses n workers, 0 uses one
-	// worker per CPU, and 1 keeps a refit on one core (each GBDT fit
-	// runs on its tier's goroutine; a random forest also grows up to
-	// n trees at once). The fit is byte-identical for every worker
-	// count, so this only changes how fast a refit trains.
+	// Workers bounds how many chain tiers a refit trains at once (the
+	// trainer's Scale.Workers): n>0 uses n workers, 0 uses one worker
+	// per CPU, and 1 keeps a refit on one core, since each GBDT fit runs
+	// on its tier's goroutine. The fit is byte-identical for every
+	// worker count, so this only changes how fast a refit trains.
 	Workers int
 	// ArtifactPath, when set, is where accepted generations live: the
 	// candidate is written to ArtifactPath+".candidate", and promoted
@@ -86,10 +82,7 @@ func (c RefitConfig) withDefaults() RefitConfig {
 		c.Interval = 30 * time.Second
 	}
 	if c.DrainInterval <= 0 {
-		c.DrainInterval = c.Interval / 8
-		if c.DrainInterval < 100*time.Millisecond {
-			c.DrainInterval = 100 * time.Millisecond
-		}
+		c.DrainInterval = 100 * time.Millisecond
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 200
@@ -102,9 +95,6 @@ func (c RefitConfig) withDefaults() RefitConfig {
 	}
 	if len(c.Groups) == 0 {
 		c.Groups = []lumos5g.FeatureGroup{lumos5g.GroupLM, lumos5g.GroupL}
-	}
-	if c.Model == lumos5g.ModelKNN {
-		c.Model = lumos5g.ModelGDBT
 	}
 	if c.Train == nil {
 		// Calibrated, so a refit never hot-swaps a chain that serves
@@ -268,10 +258,9 @@ func (ing *Ingestor) trainSafe(d *lumos5g.Dataset) (c *lumos5g.FallbackChain, er
 		}
 	}()
 	cfg := ing.cfg.Refit
-	sc := lumos5g.Scale{Seed: cfg.Seed + ing.refitSeq}
-	sc.GBDT.Workers = cfg.Workers
-	sc.RF.Workers = cfg.Workers
-	return cfg.Train(d, cfg.Groups, cfg.Model, sc)
+	// GDBT is the one family the artifact envelope stores.
+	sc := lumos5g.Scale{Seed: cfg.Seed + ing.refitSeq, Workers: cfg.Workers}
+	return cfg.Train(d, cfg.Groups, lumos5g.ModelGDBT, sc)
 }
 
 // envelope round-trips the candidate through the CRC-framed artifact

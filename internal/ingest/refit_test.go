@@ -288,6 +288,20 @@ func TestRefitWorkerParity(t *testing.T) {
 	}
 }
 
+// TestRefitDrainIntervalDefault: the queue drains every 100 ms whatever
+// the refit interval, so an hour between refits does not leave uploads
+// shedding against a full queue; a set DrainInterval is kept.
+func TestRefitDrainIntervalDefault(t *testing.T) {
+	for _, iv := range []time.Duration{0, time.Second, time.Hour} {
+		if got := (RefitConfig{Interval: iv}).withDefaults().DrainInterval; got != 100*time.Millisecond {
+			t.Fatalf("Interval %v: DrainInterval %v, want 100ms", iv, got)
+		}
+	}
+	if got := (RefitConfig{Interval: time.Hour, DrainInterval: time.Minute}).withDefaults().DrainInterval; got != time.Minute {
+		t.Fatalf("set DrainInterval became %v", got)
+	}
+}
+
 // Start's loop drains and refits on its tickers and stop joins it.
 func TestStartLoopStops(t *testing.T) {
 	ing := refitIngestor(t, RefitConfig{Interval: 10 * time.Millisecond, DrainInterval: 2 * time.Millisecond, MinSamples: 1 << 30})

@@ -35,7 +35,7 @@ func BenchmarkCompiledBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.PredictInto(X, out, 0, len(X))
+		e.PredictInto(X, out)
 	}
 	_ = out
 }
@@ -87,9 +87,9 @@ func TestKernelZeroAllocs(t *testing.T) {
 			t.Fatalf("depth-%d fixture selected the %s kernel, want %s", c.cfg.MaxDepth, e.Kernel(), c.kernel)
 		}
 		out := make([]float64, len(X))
-		e.PredictInto(X, out, 0, len(X)) // prime the scratch pool
+		e.PredictInto(X, out) // prime the scratch pool
 		if n := testing.AllocsPerRun(50, func() {
-			e.PredictInto(X, out, 0, len(X))
+			e.PredictInto(X, out)
 		}); n != 0 {
 			t.Fatalf("%s batch kernel allocates %v times per call, want 0", c.kernel, n)
 		}

@@ -712,32 +712,29 @@ func (e *Ensemble) predictQuantized(x []float64) float64 {
 	return acc
 }
 
-// PredictInto evaluates rows X[lo:hi] into out[lo:hi] with the batch
-// kernel Compile selected (see Kernel). Disjoint [lo, hi) ranges may run
-// concurrently (the method reads only shared immutable state and writes
-// only out[lo:hi]).
-func (e *Ensemble) PredictInto(X [][]float64, out []float64, lo, hi int) {
+// PredictInto evaluates every row of X into out (len(out) >= len(X))
+// with the batch kernel Compile selected (see Kernel), on the caller's
+// goroutine. It reads only the ensemble's immutable state, so any number
+// of calls may run at once.
+func (e *Ensemble) PredictInto(X [][]float64, out []float64) {
 	switch e.kernel {
 	case kernelBitmask:
-		e.predictIntoBitmask(X, out, lo, hi)
+		e.predictIntoBitmask(X, out)
 	case kernelBanked:
-		e.predictIntoQuantized(X, out, lo, hi)
+		e.predictIntoQuantized(X, out)
 	default:
-		e.predictIntoRaw(X, out, lo, hi)
+		e.predictIntoRaw(X, out)
 	}
 }
 
 // predictIntoRaw is the float-compare blocked kernel: trees outer,
 // row-blocks inner, so a tree's nodes are streamed once per block. It
 // serves ensembles loaded from legacy artifacts without stored edges.
-func (e *Ensemble) predictIntoRaw(X [][]float64, out []float64, lo, hi int) {
+func (e *Ensemble) predictIntoRaw(X [][]float64, out []float64) {
 	feature, thresh, left, value := e.feature, e.thresh, e.left, e.value
 	var acc [blockRows]float64
-	for b := lo; b < hi; b += blockRows {
-		n := hi - b
-		if n > blockRows {
-			n = blockRows
-		}
+	for b := 0; b < len(X); b += blockRows {
+		n := min(len(X)-b, blockRows)
 		for r := 0; r < n; r++ {
 			acc[r] = e.init
 		}
@@ -759,9 +756,8 @@ func (e *Ensemble) predictIntoRaw(X [][]float64, out []float64, lo, hi int) {
 	}
 }
 
-// batchScratch is one block's bin buffer and mask accumulators. Pooled
-// so steady-state batch prediction does not allocate, and safe under
-// concurrent disjoint-range PredictInto.
+// batchScratch is one block's bin buffer and mask accumulators, pooled
+// so steady-state batch prediction does not allocate.
 type batchScratch struct {
 	q []uint8           // bins, laid out as the kernel's binBlock call says
 	v [blockRows]uint64 // the bitmask kernel's per-row surviving leaves
@@ -810,15 +806,15 @@ func (e *Ensemble) binBlock(rows [][]float64, q []uint8, rs, fs int) {
 // is proven in range at Compile time (left child indices land inside
 // lnodes, feat < NumFeatures, leaves self-loop), and the parity/fuzz
 // suite pins the kernel against the interpreted walk.
-func (e *Ensemble) predictIntoQuantized(X [][]float64, out []float64, lo, hi int) {
+func (e *Ensemble) predictIntoQuantized(X [][]float64, out []float64) {
 	lnodes, lvalue, nf := e.lnodes, e.lvalue, e.nFeat
 	nTrees := len(e.treeDepth)
 	scale := e.scale
 	var acc [blockRows]float64
 	sc := getScratch(nf)
 	q := sc.q
-	for b := lo; b < hi; b += blockRows {
-		n := min(hi-b, blockRows)
+	for b := 0; b < len(X); b += blockRows {
+		n := min(len(X)-b, blockRows)
 		// Row-major bins A/B-measured ~10% faster than feature-major for
 		// the walk's data-dependent reads at 60-tree ensembles.
 		e.binBlock(X[b:b+n], q, nf, 1)
@@ -898,11 +894,11 @@ func (e *Ensemble) predictIntoQuantized(X [][]float64, out []float64, lo, hi int
 // contiguously, and every row's AND is independent of its neighbours'.
 // Per row the adds are the interpreter's — init, then scale*leaf per
 // tree in model order — so outputs are bit-identical.
-func (e *Ensemble) predictIntoBitmask(X [][]float64, out []float64, lo, hi int) {
+func (e *Ensemble) predictIntoBitmask(X [][]float64, out []float64) {
 	var acc [blockRows]float64
 	sc := getScratch(e.nFeat)
-	for b := lo; b < hi; b += blockRows {
-		n := min(hi-b, blockRows)
+	for b := 0; b < len(X); b += blockRows {
+		n := min(len(X)-b, blockRows)
 		e.binBlock(X[b:b+n], sc.q, 1, blockRows)
 		for r := 0; r < n; r++ {
 			acc[r] = e.init
@@ -963,6 +959,6 @@ func (e *Ensemble) flush(acc, out []float64) {
 // PredictBatch is the allocate-and-fill convenience over PredictInto.
 func (e *Ensemble) PredictBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
-	e.PredictInto(X, out, 0, len(X))
+	e.PredictInto(X, out)
 	return out
 }

@@ -74,20 +74,6 @@ func TestCompiledGBDTParity(t *testing.T) {
 			t.Fatalf("batch row %d: %v != %v", i, batch[i], m.Predict(x))
 		}
 	}
-	// Blocked kernel over an offset sub-range must fill exactly that range.
-	out := make([]float64, len(probes))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	e.PredictInto(probes, out, 100, 421)
-	for i := 100; i < 421; i++ {
-		if out[i] != m.Predict(probes[i]) {
-			t.Fatalf("ranged row %d mismatch", i)
-		}
-	}
-	if !math.IsNaN(out[99]) || !math.IsNaN(out[421]) {
-		t.Fatal("PredictInto wrote outside [lo, hi)")
-	}
 }
 
 func TestCompiledRawVsQuantizedParity(t *testing.T) {

@@ -23,11 +23,10 @@ type Config struct {
 	FeatureFrac float64
 	// Seed drives bootstrap and feature sampling.
 	Seed uint64
-	// Workers bounds Fit/PredictBatch concurrency; <=0 means one worker
-	// per CPU. The fitted model is bit-identical for every worker count:
-	// each tree draws from its own pre-split rng stream and the trees
-	// are assembled in index order. The chain trainers also train at
-	// most Workers RF tiers at once.
+	// Workers bounds how many trees Fit grows at once; <=0 means one
+	// worker per CPU. The fitted model is bit-identical for every worker
+	// count: each tree draws from its own pre-split rng stream and the
+	// trees are assembled in index order.
 	Workers int
 }
 
@@ -138,27 +137,14 @@ func (m *Model) Predict(x []float64) float64 {
 	return sum / float64(len(m.trees))
 }
 
-// PredictBatch predicts every row of X through the compiled blocked
-// kernel, fanning row ranges out across workers. Each element equals
-// Predict of that row exactly (same tree-summation order per row) — the
-// compiled kernel's equivalence contract, enforced by parity tests.
+// PredictBatch predicts every row of a fitted forest through the
+// compiled blocked kernel, on the caller's goroutine. Each element
+// equals Predict of that row exactly (same tree-summation order per
+// row) — the compiled kernel's equivalence contract, enforced by parity
+// tests.
 func (m *Model) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	if m.comp == nil {
-		par.Do(par.Bound(par.Workers(m.cfg.Workers), len(X), batchMinRows), len(X), func(i int) {
-			out[i] = m.Predict(X[i])
-		})
-		return out
-	}
-	w := par.Bound(par.Workers(m.cfg.Workers), len(X), batchMinRows)
-	par.Chunks(w, len(X), func(lo, hi int) {
-		m.comp.PredictInto(X, out, lo, hi)
-	})
-	return out
+	return m.comp.PredictBatch(X)
 }
-
-// batchMinRows is the minimum rows per worker for batch prediction.
-const batchMinRows = 256
 
 // PredictClass maps the regression output to a throughput class.
 func (m *Model) PredictClass(x []float64) ml.Class {

@@ -2,6 +2,7 @@ package forest
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -29,9 +30,10 @@ func TestForestWorkerCountParity(t *testing.T) {
 }
 
 // TestForestPredictBatchMatchesPredict: the batch fast path must return
-// exactly the per-row Predict values.
+// exactly the per-row Predict values, and a 1,024-row batch on two CPUs
+// allocates only its output slice, so it starts no goroutine.
 func TestForestPredictBatchMatchesPredict(t *testing.T) {
-	X, y := synthData(13, 1000)
+	X, y := synthData(13, 1024)
 	m := New(Config{Trees: 15, Seed: 2, Workers: 4})
 	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
@@ -41,6 +43,13 @@ func TestForestPredictBatchMatchesPredict(t *testing.T) {
 		if want := m.Predict(x); got[i] != want {
 			t.Fatalf("row %d: batch %v != serial %v", i, got[i], want)
 		}
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool drops Puts
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if a := testing.AllocsPerRun(20, func() { m.PredictBatch(X) }); a != 1 {
+		t.Fatalf("1,024-row PredictBatch allocates %v times, want 1 (its output)", a)
 	}
 }
 

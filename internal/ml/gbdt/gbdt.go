@@ -12,7 +12,6 @@ import (
 	"lumos5g/internal/ml"
 	"lumos5g/internal/ml/compiled"
 	"lumos5g/internal/ml/tree"
-	"lumos5g/internal/par"
 	"lumos5g/internal/rng"
 )
 
@@ -34,14 +33,6 @@ type Config struct {
 	Subsample float64
 	// Seed drives subsampling.
 	Seed uint64
-	// Workers bounds how many chain tiers train at once (the chain
-	// trainers lumos5g.TrainFallbackChain and
-	// TrainCalibratedFallbackChain) and PredictBatch's row fan-out; <=0
-	// means one worker per CPU, and 1 keeps a whole chain's training on
-	// one core. A single Fit runs on its caller's goroutine whatever the
-	// count: boosting rounds are sequential (round k+1 consumes round
-	// k's residuals), so the fitted model is the same for every count.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -208,27 +199,13 @@ func (m *Model) Predict(x []float64) float64 {
 	return v
 }
 
-// batchMinRows is the minimum rows per worker for the parallel row
-// loops; smaller batches run inline.
-const batchMinRows = 256
-
-// PredictBatch predicts every row of X through the compiled blocked
-// kernel, fanning row ranges out across workers. Each element equals
-// Predict of that row exactly (same tree-summation order per row) — the
-// compiled kernel's equivalence contract, enforced by parity tests.
+// PredictBatch predicts every row of a fitted model through the
+// compiled blocked kernel, on the caller's goroutine. Each element
+// equals Predict of that row exactly (same tree-summation order per
+// row) — the compiled kernel's equivalence contract, enforced by parity
+// tests.
 func (m *Model) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	if m.comp == nil {
-		par.Do(par.Bound(par.Workers(m.cfg.Workers), len(X), batchMinRows), len(X), func(i int) {
-			out[i] = m.Predict(X[i])
-		})
-		return out
-	}
-	w := par.Bound(par.Workers(m.cfg.Workers), len(X), batchMinRows)
-	par.Chunks(w, len(X), func(lo, hi int) {
-		m.comp.PredictInto(X, out, lo, hi)
-	})
-	return out
+	return m.comp.PredictBatch(X)
 }
 
 // PredictClass maps the regression output to a throughput class.

@@ -123,20 +123,19 @@ func checkMatchesOracle(t *testing.T, m *Model, X [][]float64, y []float64) {
 // TestFitRoundLoopOracleParity pins Fit's reused buffers and by-leaf
 // row credit to the fresh-buffer, walk-every-row round loop: the fitted
 // model must be bit-identical with out-of-bag rows and without, when
-// MinLeaf ends branches early, at one worker and at four (the "parallel
-// scans" case, named for the per-feature fan-out Fit once had: Workers
-// must leave a fit unchanged), and on a model value refitted on new
-// data.
+// MinLeaf ends branches early, at the default subsample and leaf size
+// (the "parallel scans" case, named for the per-feature fan-out Fit once
+// had), and on a model value refitted on new data.
 func TestFitRoundLoopOracleParity(t *testing.T) {
 	X, y := synthData(61, 3000)
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"subsample 0.8", Config{Estimators: 30, MaxDepth: 5, Subsample: 0.8, Seed: 3, Workers: 1}},
-		{"subsample 1.0", Config{Estimators: 30, MaxDepth: 5, Subsample: 1, Seed: 3, Workers: 1}},
-		{"large MinLeaf", Config{Estimators: 30, MaxDepth: 6, MinLeaf: 400, Seed: 4, Workers: 1}},
-		{"parallel scans", Config{Estimators: 20, MaxDepth: 5, Seed: 5, Workers: 4}},
+		{"subsample 0.8", Config{Estimators: 30, MaxDepth: 5, Subsample: 0.8, Seed: 3}},
+		{"subsample 1.0", Config{Estimators: 30, MaxDepth: 5, Subsample: 1, Seed: 3}},
+		{"large MinLeaf", Config{Estimators: 30, MaxDepth: 6, MinLeaf: 400, Seed: 4}},
+		{"parallel scans", Config{Estimators: 20, MaxDepth: 5, Seed: 5}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -150,7 +149,7 @@ func TestFitRoundLoopOracleParity(t *testing.T) {
 	t.Run("refit one model value", func(t *testing.T) {
 		X1, y1 := synthData(62, 900)
 		X2, y2 := synthData(63, 1100)
-		m := New(Config{Estimators: 25, MaxDepth: 4, Seed: 9, Workers: 1})
+		m := New(Config{Estimators: 25, MaxDepth: 4, Seed: 9})
 		if err := m.Fit(X1, y1); err != nil {
 			t.Fatal(err)
 		}

@@ -2,71 +2,16 @@ package gbdt
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
-// TestGBDTWorkerCountParity: a fit runs on its caller's goroutine at
-// every worker count, so on 2,500 rows (nodes large enough that any
-// fan-out inside growth would engage) the fitted model must be
-// bit-identical to one worker's.
-func TestGBDTWorkerCountParity(t *testing.T) {
-	X, y := synthData(41, 2500)
-	Xt, _ := synthData(42, 300)
-
-	serial := New(Config{Estimators: 40, MaxDepth: 5, Seed: 7, Workers: 1})
-	if err := serial.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 16} {
-		m := New(Config{Estimators: 40, MaxDepth: 5, Seed: 7, Workers: w})
-		if err := m.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range Xt {
-			if g, want := m.Predict(x), serial.Predict(x); g != want {
-				t.Fatalf("workers=%d row %d: %v != serial %v", w, i, g, want)
-			}
-		}
-		gotImp, err := m.FeatureImportance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantImp, err := serial.FeatureImportance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := range wantImp {
-			if gotImp[f] != wantImp[f] {
-				t.Fatalf("workers=%d: feature %d importance %v != %v", w, f, gotImp[f], wantImp[f])
-			}
-		}
-	}
-}
-
-// TestFitWorkerAllocParity pins that nothing fans out inside a fit: a
-// Fit at Workers 4 allocates what the same Fit at Workers 1 does, so it
-// starts no goroutine and builds no per-round closure. The slack absorbs
-// the race detector's wobble of an allocation or two.
-func TestFitWorkerAllocParity(t *testing.T) {
-	X, y := synthData(44, 3000)
-	allocs := func(workers int) float64 {
-		m := New(Config{Estimators: 10, MaxDepth: 5, Seed: 6, Workers: workers})
-		return testing.AllocsPerRun(5, func() {
-			if err := m.Fit(X, y); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	serial, par := allocs(1), allocs(4)
-	if math.Abs(par-serial) > 4 {
-		t.Fatalf("Fit allocates %v at Workers 4, %v at Workers 1", par, serial)
-	}
-}
-
-// TestGBDTPredictBatchMatchesPredict pins the batch fast path.
+// TestGBDTPredictBatchMatchesPredict pins the batch fast path: every
+// row equals Predict, and a 1,024-row batch on two CPUs allocates only
+// its output slice, so it starts no goroutine.
 func TestGBDTPredictBatchMatchesPredict(t *testing.T) {
 	X, y := synthData(43, 1200)
-	m := New(Config{Estimators: 30, MaxDepth: 4, Seed: 2, Workers: 4})
+	m := New(Config{Estimators: 30, MaxDepth: 4, Seed: 2})
 	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +20,13 @@ func TestGBDTPredictBatchMatchesPredict(t *testing.T) {
 		if want := m.Predict(x); got[i] != want {
 			t.Fatalf("row %d: batch %v != serial %v", i, got[i], want)
 		}
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool drops Puts
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if a := testing.AllocsPerRun(20, func() { m.PredictBatch(X[:1024]) }); a != 1 {
+		t.Fatalf("1,024-row PredictBatch allocates %v times, want 1 (its output)", a)
 	}
 }
 
@@ -141,9 +93,10 @@ func TestGBDTFailedRefitKeepsOldModel(t *testing.T) {
 	}
 }
 
-// TestClassifierWorkerCountParityAndRefit covers the native classifier:
-// worker-count invariance and clean refit semantics in one pass.
-func TestClassifierWorkerCountParityAndRefit(t *testing.T) {
+// TestClassifierRefitMatchesFresh: refitting a fitted classifier on a
+// shifted dataset must equal fitting a fresh one — no stale rounds or
+// scores from the first fit.
+func TestClassifierRefitMatchesFresh(t *testing.T) {
 	X, y := synthData(71, 1200)
 	labels := make([]int, len(y))
 	for i, v := range y {
@@ -156,26 +109,11 @@ func TestClassifierWorkerCountParityAndRefit(t *testing.T) {
 			labels[i] = 2
 		}
 	}
-
-	serial := NewClassifier(Config{Estimators: 12, MaxDepth: 4, Seed: 5, Workers: 1}, 3)
-	if err := serial.FitLabels(X, labels); err != nil {
+	reused := NewClassifier(Config{Estimators: 12, MaxDepth: 4, Seed: 5}, 3)
+	if err := reused.FitLabels(X, labels); err != nil {
 		t.Fatal(err)
 	}
-	par := NewClassifier(Config{Estimators: 12, MaxDepth: 4, Seed: 5, Workers: 4}, 3)
-	if err := par.FitLabels(X, labels); err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range X[:200] {
-		ss, ps := serial.Scores(x), par.Scores(x)
-		for k := range ss {
-			if ss[k] != ps[k] {
-				t.Fatalf("row %d class %d: parallel score %v != serial %v", i, k, ps[k], ss[k])
-			}
-		}
-	}
 
-	// Refit the parallel classifier on a shifted dataset; it must equal a
-	// fresh classifier.
 	X2, y2 := synthData(72, 1000)
 	labels2 := make([]int, len(y2))
 	for i, v := range y2 {
@@ -183,18 +121,18 @@ func TestClassifierWorkerCountParityAndRefit(t *testing.T) {
 			labels2[i] = 1
 		}
 	}
-	if err := par.FitLabels(X2, labels2); err != nil {
+	if err := reused.FitLabels(X2, labels2); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewClassifier(Config{Estimators: 12, MaxDepth: 4, Seed: 5, Workers: 4}, 3)
+	fresh := NewClassifier(Config{Estimators: 12, MaxDepth: 4, Seed: 5}, 3)
 	if err := fresh.FitLabels(X2, labels2); err != nil {
 		t.Fatal(err)
 	}
-	if par.NumRounds() != fresh.NumRounds() {
-		t.Fatalf("refit kept stale rounds: %d vs %d", par.NumRounds(), fresh.NumRounds())
+	if reused.NumRounds() != fresh.NumRounds() {
+		t.Fatalf("refit kept stale rounds: %d vs %d", reused.NumRounds(), fresh.NumRounds())
 	}
 	for i, x := range X2[:200] {
-		rs, fs := par.Scores(x), fresh.Scores(x)
+		rs, fs := reused.Scores(x), fresh.Scores(x)
 		for k := range rs {
 			if rs[k] != fs[k] {
 				t.Fatalf("row %d class %d: refit score %v != fresh %v", i, k, rs[k], fs[k])

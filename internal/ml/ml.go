@@ -112,10 +112,11 @@ func ValidateXY(X [][]float64, y []float64) error {
 
 // BatchRegressor is implemented by models with a vectorised prediction
 // fast path. PredictBatch must return exactly what Predict would return
-// per row, bit for bit — it may fan rows out across goroutines or run a
-// compiled kernel (the tree ensembles flatten into
-// internal/ml/compiled's structure-of-arrays layout), but every row's
-// floats must match the interpreted Predict exactly.
+// per row, bit for bit — it may run a compiled kernel (the tree
+// ensembles flatten into internal/ml/compiled's structure-of-arrays
+// layout), but every row's floats must match the interpreted Predict
+// exactly. It runs on its caller's goroutine: a server's parallelism
+// comes from its concurrent requests, not from splitting one.
 type BatchRegressor interface {
 	PredictBatch(X [][]float64) []float64
 }

@@ -1,5 +1,6 @@
 // Package par is the deterministic worker-pool substrate shared by the
-// campaign generator, the ensemble trainers and the batch predictors.
+// campaign generator, the chain and forest trainers and the fleet's
+// fan-outs.
 //
 // Every helper here preserves a simple contract: splitting work across
 // goroutines must not change *what* is computed, only *when*. Callers
@@ -26,27 +27,14 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Bound caps a worker count so no worker would receive fewer than min
-// tasks out of n; it never returns less than 1. Use it to avoid spawning
-// goroutines for row loops too small to amortise the handoff.
-func Bound(w, n, min int) int {
-	if min < 1 {
-		min = 1
-	}
-	if maxW := n / min; w > maxW {
-		w = maxW
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
 // Do runs fn(i) for every i in [0, n) on up to w goroutines and waits
 // for all of them. Tasks are dealt in index order to whichever worker is
 // free next, so a slow task never holds back one queued behind it while
 // another worker idles; with w <= 1 (or n <= 1) everything runs inline
-// on the caller's goroutine, in index order.
+// on the caller's goroutine, in index order. A panic on a worker is
+// re-raised on the caller's goroutine once every worker has returned
+// (the lowest worker's, when several panic), so a caller that recovers
+// panics still contains one raised on a worker.
 func Do(w, n int, fn func(i int)) {
 	if w > n {
 		w = n
@@ -58,45 +46,6 @@ func Do(w, n int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
-	spawn(w, func(int) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
-		}
-	})
-}
-
-// Chunks partitions [0, n) into at most w contiguous [lo, hi) spans, runs
-// fn on each span (concurrently when w > 1), and waits for all spans.
-// Spans differ in length by at most one and cover [0, n) exactly once.
-func Chunks(w, n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	// Deal ceil/floor-sized spans so lengths differ by at most one.
-	base, rem := n/w, n%w
-	spawn(w, func(k int) {
-		lo := k*base + min(k, rem)
-		hi := lo + base
-		if k < rem {
-			hi++
-		}
-		fn(lo, hi)
-	})
-}
-
-// spawn runs fn(k) for every k in [0, w) on its own goroutine and waits
-// for all of them. A panic in any of them is re-raised on the caller's
-// goroutine once every one has returned (the lowest k's, when several
-// panic), so a caller that recovers panics still contains one raised on
-// a worker.
-func spawn(w int, fn func(k int)) {
 	panics := make([]any, w)
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -104,7 +53,9 @@ func spawn(w int, fn func(k int)) {
 		go func(k int) {
 			defer wg.Done()
 			defer func() { panics[k] = recover() }()
-			fn(k)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
 		}(k)
 	}
 	wg.Wait()
