@@ -1,10 +1,12 @@
 # Tier-1 verification and development targets.
 #
 # `make tier1` is the CI gate: gofmt (the trees `make fmt` formats),
-# build, the serving fast-path selftest, vet, and the full test suite
-# once under the race detector (the fault-injection and resilience tests
-# exercise heavy goroutine churn, so they must stay race-clean). The
-# race-* targets race-check one layer in
+# build, the serving fast-path selftest, vet, the full test suite once
+# under the race detector (the fault-injection and resilience tests
+# exercise heavy goroutine churn, so they must stay race-clean), and vet
+# plus tests of the e2ebench module, a nested module `./...` does not
+# reach, so an internal API change that breaks the benchmark fails here.
+# The race-* targets race-check one layer in
 # isolation for a fast inner loop; tier1 does not repeat them, since
 # `go test -race ./...` already runs every one of their packages. `make
 # fuzz` runs the parser/artifact/wire fuzz targets for a short burst — not
@@ -18,9 +20,10 @@ FUZZTIME ?= 5s
 
 .PHONY: tier1 build vet test race race-core race-parallel race-fleet race-ingest race-load race-abr parity bench bench-json bench-serve bench-fleet bench-ingest bench-load bench-abr fmt fuzz unlinked
 
-tier1: ## gofmt + build + selftest + vet + race-enabled test suite (run `make fuzz` too when touching parsers)
+tier1: ## gofmt + build + selftest + vet + race-enabled test suite + e2ebench vet/test (run `make fuzz` too when touching parsers)
 	test -z "$$(gofmt -l cmd internal examples tools *.go)"
 	$(GO) build ./... && $(GO) build -o bin/lumosbench ./cmd/lumosbench && ./bin/lumosbench -selftest && $(GO) vet ./... && $(GO) test -race ./...
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

@@ -27,25 +27,29 @@
 // shallower than the ensemble's maximum depth simply spin on their
 // self-looping leaves for the extra steps.
 //
-// The quantized traversal bins each query row once against the training
-// Binner's quantile edges and compares uint8 bins. Because every
-// internal node's raw threshold is exactly a bin edge (tree.Grow splits
-// on edges[feature][bin]), the comparison
+// The walker and both batch kernels bin each query row once and compare
+// uint8 bins. Compile takes each feature's bin edges from the trees
+// themselves: the ascending, distinct thresholds they split that feature
+// on. With bin(v) the index of the first edge >= v, every internal
+// node's threshold t is one of its feature's edges, so
 //
-//	x[f] <= edges[f][bin]   ⇔   BinValue(f, x[f]) <= bin
+//	x[f] <= t   ⇔   bin(x[f]) <= bin(t)
 //
-// holds for every input, so the quantized walk reaches the same leaf —
-// and therefore produces the same float — as the raw walk.
+// holds for every input by construction, and the quantized walk reaches
+// the same leaf — and therefore produces the same float — as the
+// interpreted walk. A NaN threshold, or more than 254 distinct
+// thresholds on one feature, fails to compile; trees grown by tree.Grow
+// take every threshold from the training Binner's at most 254 edges per
+// feature. No edges are stored with a model.
 //
-// Compile picks the batch kernel once (Kernel names it). Quantized
-// ensembles whose trees have at most 64 leaves take the bitmask kernel:
-// in the manner of QuickScorer (Lucchese et al., SIGIR 2015) each tree's
-// leaves are numbered left to right, and per (tree, split feature, bin)
-// a table holds the AND of the leaf masks of the tree's nodes on that
-// feature that a row in that bin fails; ANDing one table entry per split
-// feature leaves the exit leaf as the lowest set bit, with no walk at
-// all. Other quantized ensembles take the banked batch walk, and
-// ensembles compiled without edges a float-compare kernel.
+// Compile picks one of two batch kernels (Kernel names it). Ensembles
+// whose trees have at most 64 leaves take the bitmask kernel: in the
+// manner of QuickScorer (Lucchese et al., SIGIR 2015) each tree's leaves
+// are numbered left to right, and per (tree, split feature, bin) a table
+// holds the AND of the leaf masks of the tree's nodes on that feature
+// that a row in that bin fails; ANDing one table entry per split feature
+// leaves the exit leaf as the lowest set bit, with no walk at all. Other
+// ensembles take the banked batch walk.
 //
 // Equivalence contract: for every input, Predict and PredictInto return
 // bit-identical floats to the interpreted ensemble's Predict — same
@@ -83,11 +87,6 @@ type Config struct {
 	// Div, when non-zero, divides the final accumulator (the ensemble
 	// size for a forest's mean; 0 for additive models).
 	Div float64
-	// Edges are the training Binner's per-feature quantile bin edges.
-	// When present they enable the quantized traversal; nil (e.g. a
-	// legacy artifact that did not store edges) compiles the raw-compare
-	// kernel only.
-	Edges [][]float64
 }
 
 // qnode is one node of the quantized kernel: 8 bytes, so a whole
@@ -100,9 +99,14 @@ type qnode struct {
 }
 
 // leafBin marks leaves in qnodes: quantized values never exceed 254
-// (at most 254 edges per feature), so q <= 255 is always true and a leaf
-// steps to its own left — itself — for the remaining fixed-depth steps.
+// (at most maxEdges edges per feature), so q <= 255 is always true and a
+// leaf steps to its own left — itself — for the remaining fixed-depth
+// steps.
 const leafBin = 255
+
+// maxEdges bounds the distinct split thresholds, and so the bin edges,
+// of one feature: bins then run 0..maxEdges, below leafBin.
+const maxEdges = leafBin - 1
 
 // Ensemble is a compiled ensemble: every tree renumbered breadth-first
 // (children adjacent, right = left+1) into the layout its kernels read,
@@ -118,25 +122,16 @@ type Ensemble struct {
 	treeDepth []int32 // fixed traversal step count per tree
 	maxDepth  int32   // max(treeDepth): the banked walk's step count
 
-	// Raw-compare state, built only when Edges were not given: per-tree
-	// BFS runs with global indices, rooted at treeOff.
-	treeOff []int32
-	feature []int32 // split feature, -1 for leaves
-	thresh  []float64
-	left    []int32   // global left-child index; right = left+1; self at leaves
-	value   []float64 // leaf value (leaves only; internal nodes unused)
-
-	// Quantized traversal state (nil when Edges were not given). lnodes
-	// and lvalue are the level-banked layout described in the package
-	// docs: bank d holds every tree's depth-d nodes, tree by tree, with
-	// tree t's root at index t; left still points at the (bank d+1)
-	// left child, right = left+1, leaves self-loop. qedges hold the bin
-	// edges under the order-preserving uint64 mapping of orderedBits, so
-	// block binning runs on integer compares the compiler if-converts
-	// instead of float compares it branches on.
+	// Quantized traversal state. lnodes and lvalue are the level-banked
+	// layout described in the package docs: bank d holds every tree's
+	// depth-d nodes, tree by tree, with tree t's root at index t; left
+	// still points at the (bank d+1) left child, right = left+1, leaves
+	// self-loop. qedges hold each feature's bin edges (its distinct split
+	// thresholds) under the order-preserving uint64 mapping of
+	// orderedBits, so binning runs on integer compares the compiler
+	// if-converts instead of float compares it branches on.
 	lnodes []qnode
 	lvalue []float64
-	edges  [][]float64
 	qedges [][]uint64
 
 	// Bitmask kernel tables (nil unless Kernel is "bitmask"). With mt =
@@ -162,7 +157,6 @@ type maskTree struct {
 const (
 	kernelBitmask = "bitmask"
 	kernelBanked  = "banked"
-	kernelRaw     = "raw"
 )
 
 // maskLeaves is the bitmask kernel's per-tree leaf bound: one bit of a
@@ -179,10 +173,8 @@ const maskLeaves = 64
 const blockRows = 256
 
 // Compile flattens trees into an Ensemble. Trees must be non-empty and
-// structurally valid (as produced by tree.Grow or tree.Import). With
-// cfg.Edges set, every internal node's threshold must be one of its
-// feature's bin edges — true by construction for trees grown from that
-// Binner — or Compile fails rather than mis-quantize.
+// structurally valid (as produced by tree.Grow or tree.Import), with no
+// NaN threshold and at most 254 distinct thresholds per feature.
 func Compile(trees []*tree.Tree, cfg Config) (*Ensemble, error) {
 	if len(trees) == 0 {
 		return nil, errors.New("compiled: no trees")
@@ -190,20 +182,17 @@ func Compile(trees []*tree.Tree, cfg Config) (*Ensemble, error) {
 	if cfg.NumFeatures <= 0 || cfg.NumFeatures > 1<<16 {
 		return nil, errors.New("compiled: feature count out of range")
 	}
-	if cfg.Edges != nil && len(cfg.Edges) < cfg.NumFeatures {
-		return nil, fmt.Errorf("compiled: %d features but %d edge sets", cfg.NumFeatures, len(cfg.Edges))
-	}
 	e := &Ensemble{
 		nFeat:     cfg.NumFeatures,
 		init:      cfg.Init,
 		scale:     cfg.Scale,
 		div:       cfg.Div,
 		treeDepth: make([]int32, len(trees)),
-		edges:     cfg.Edges,
 	}
+	e.qedges = make([][]uint64, cfg.NumFeatures)
 	bfs := make([]treeBFS, len(trees))
 	for ti, t := range trees {
-		b, err := bfsRenumber(ti, t.Export(), cfg)
+		b, err := bfsRenumber(ti, t.Export(), e.qedges)
 		if err != nil {
 			return nil, err
 		}
@@ -212,18 +201,8 @@ func Compile(trees []*tree.Tree, cfg Config) (*Ensemble, error) {
 		e.treeDepth[ti] = b.depth
 		e.maxDepth = max(e.maxDepth, b.depth)
 	}
-	if e.edges == nil {
-		e.buildFlat(bfs)
-		e.kernel = kernelRaw
-		return e, nil
-	}
-	e.qedges = make([][]uint64, cfg.NumFeatures)
-	for f := 0; f < cfg.NumFeatures; f++ {
-		qe := make([]uint64, len(cfg.Edges[f]))
-		for i, v := range cfg.Edges[f] {
-			qe[i] = orderedBits(v)
-		}
-		e.qedges[f] = qe
+	for i := range bfs {
+		bfs[i].quantize(e.qedges)
 	}
 	e.buildBanks(bfs)
 	e.kernel = kernelBanked
@@ -241,21 +220,21 @@ type treeBFS struct {
 	dto    tree.TreeDTO
 	order  []int32 // old ids in BFS order
 	level  []int32 // BFS level per order entry (levels are contiguous runs)
-	bin    []uint8 // split bin per order entry (nil without edges; 0 at leaves)
+	bin    []uint8 // split bin per order entry (0 at leaves), set by quantize
 	newID  []int32 // old id -> BFS position
 	depth  int32
 	leaves int
 }
 
 // bfsRenumber walks one tree breadth-first, validating it on the way
-// and, with edges, recovering every split's bin. BFS order is what makes
-// every layout branch-free friendly: a parent's two children are
-// enqueued together, so they land adjacently (only the left index need
-// be stored), and BFS order is level order, so each level is a
-// contiguous run the bank builder can regroup. The seen guard rejects
+// and adding every split's threshold to its feature's edges. BFS order
+// is what makes every layout branch-free friendly: a parent's two
+// children are enqueued together, so they land adjacently (only the left
+// index need be stored), and BFS order is level order, so each level is
+// a contiguous run the bank builder can regroup. The seen guard rejects
 // cyclic or converging node graphs that would otherwise loop the
 // fixed-depth traversal astray.
-func bfsRenumber(ti int, dto tree.TreeDTO, cfg Config) (treeBFS, error) {
+func bfsRenumber(ti int, dto tree.TreeDTO, qedges [][]uint64) (treeBFS, error) {
 	n := int32(len(dto.Nodes))
 	if n == 0 {
 		return treeBFS{}, fmt.Errorf("compiled: tree %d is empty", ti)
@@ -264,10 +243,6 @@ func bfsRenumber(ti int, dto tree.TreeDTO, cfg Config) (treeBFS, error) {
 	level := make([]int32, 0, n)
 	newID := make([]int32, n)
 	seen := make([]bool, n)
-	var bins []uint8
-	if cfg.Edges != nil {
-		bins = make([]uint8, 0, n)
-	}
 	order = append(order, 0)
 	level = append(level, 0)
 	seen[0] = true
@@ -282,13 +257,10 @@ func bfsRenumber(ti int, dto tree.TreeDTO, cfg Config) (treeBFS, error) {
 		nd := dto.Nodes[old]
 		if nd.Feature < 0 {
 			leaves++
-			if bins != nil {
-				bins = append(bins, 0)
-			}
 			continue
 		}
-		if int(nd.Feature) >= cfg.NumFeatures {
-			return treeBFS{}, fmt.Errorf("compiled: tree %d node %d splits feature %d of %d", ti, old, nd.Feature, cfg.NumFeatures)
+		if int(nd.Feature) >= len(qedges) {
+			return treeBFS{}, fmt.Errorf("compiled: tree %d node %d splits feature %d of %d", ti, old, nd.Feature, len(qedges))
 		}
 		if nd.Left < 0 || nd.Left >= n || nd.Right < 0 || nd.Right >= n {
 			return treeBFS{}, fmt.Errorf("compiled: tree %d node %d child out of range", ti, old)
@@ -296,46 +268,45 @@ func bfsRenumber(ti int, dto tree.TreeDTO, cfg Config) (treeBFS, error) {
 		if seen[nd.Left] || seen[nd.Right] || nd.Left == nd.Right {
 			return treeBFS{}, fmt.Errorf("compiled: tree %d node %d children revisit a node", ti, old)
 		}
-		if bins != nil {
-			bt, err := quantizeThreshold(cfg.Edges, nd, ti, int(old))
-			if err != nil {
-				return treeBFS{}, err
-			}
-			bins = append(bins, bt)
+		if err := addEdge(&qedges[nd.Feature], nd.Threshold); err != nil {
+			return treeBFS{}, fmt.Errorf("compiled: tree %d node %d: %w", ti, old, err)
 		}
 		seen[nd.Left], seen[nd.Right] = true, true
 		order = append(order, nd.Left, nd.Right)
 		level = append(level, lv+1, lv+1)
 	}
-	return treeBFS{dto: dto, order: order, level: level, bin: bins, newID: newID, depth: depth, leaves: leaves}, nil
+	return treeBFS{dto: dto, order: order, level: level, newID: newID, depth: depth, leaves: leaves}, nil
 }
 
-// buildFlat lays the renumbered trees out as the per-tree BFS runs the
-// raw-compare kernels read; only ensembles without edges (legacy
-// artifacts) need them.
-func (e *Ensemble) buildFlat(bfs []treeBFS) {
-	e.treeOff = make([]int32, len(bfs))
-	e.feature = make([]int32, 0, e.nNodes)
-	e.thresh = make([]float64, 0, e.nNodes)
-	e.left = make([]int32, 0, e.nNodes)
-	e.value = make([]float64, 0, e.nNodes)
-	for ti, b := range bfs {
-		off := int32(len(e.feature))
-		e.treeOff[ti] = off
-		for pos, old := range b.order {
-			nd := b.dto.Nodes[old]
-			self := off + int32(pos)
-			if nd.Feature < 0 {
-				e.feature = append(e.feature, -1)
-				e.thresh = append(e.thresh, 0)
-				e.left = append(e.left, self)
-				e.value = append(e.value, nd.Value)
-				continue
-			}
-			e.feature = append(e.feature, nd.Feature)
-			e.thresh = append(e.thresh, nd.Threshold)
-			e.left = append(e.left, off+b.newID[nd.Left])
-			e.value = append(e.value, 0)
+// addEdge adds a split threshold to its feature's ascending, distinct,
+// order-mapped edges. Trees share most thresholds (every tree of an
+// ensemble splits on the same training bin edges), so the lookup — the
+// kernels' own lower bound — usually finds it and inserts nothing; a
+// feature holds at most maxEdges, which bounds each insert.
+func addEdge(qe *[]uint64, t float64) error {
+	if math.IsNaN(t) {
+		return errors.New("NaN threshold")
+	}
+	u := orderedBits(t)
+	i := int(binValueBits(*qe, u))
+	if i < len(*qe) && (*qe)[i] == u {
+		return nil
+	}
+	if len(*qe) == maxEdges {
+		return fmt.Errorf("more than %d distinct thresholds on one feature", maxEdges)
+	}
+	*qe = slices.Insert(*qe, i, u)
+	return nil
+}
+
+// quantize sets every split's bin: its threshold's index among its
+// feature's edges, which binValueBits — the lower bound the kernels bin
+// rows with — finds exactly, because the threshold is one of them.
+func (b *treeBFS) quantize(qedges [][]uint64) {
+	b.bin = make([]uint8, len(b.order))
+	for pos, old := range b.order {
+		if nd := &b.dto.Nodes[old]; nd.Feature >= 0 {
+			b.bin[pos] = binValueBits(qedges[nd.Feature], orderedBits(nd.Threshold))
 		}
 	}
 }
@@ -512,87 +483,39 @@ func (e *Ensemble) buildMasks(bfs []treeBFS) bool {
 	return true
 }
 
-// quantizeThreshold recovers an internal node's bin index from its raw
-// threshold: the threshold is edges[feature][bin] by construction, and
-// the edges are strictly ascending, so binValue inverts it exactly.
-func quantizeThreshold(edges [][]float64, nd tree.NodeDTO, ti, i int) (uint8, error) {
-	fe := edges[nd.Feature]
-	b := binValue(fe, nd.Threshold)
-	if int(b) >= len(fe) || fe[b] != nd.Threshold {
-		return 0, fmt.Errorf("compiled: tree %d node %d threshold %v is not a bin edge of feature %d", ti, i, nd.Threshold, nd.Feature)
-	}
-	return b, nil
-}
-
-// binValue maps a raw value to its quantile bin: the index of the first
-// edge >= v (identical to tree.Binner.BinValue). Used on the rare paths
-// (threshold recovery at compile, single-row Predict).
-func binValue(edges []float64, v float64) uint8 {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if edges[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return uint8(lo)
-}
-
 // orderedBits maps a float64 to a uint64 such that u(x) < u(y) ⇔ x < y
 // for non-NaN x and y: negatives have all bits flipped, positives only
 // the sign bit, and v+0 first folds -0 into +0 so the two zeros (equal
 // as floats) map to the same integer. Every NaN, whatever its sign bit,
 // maps to all ones, above every edge, so it bins past the top edge and
-// goes right at every split, as the raw walk's x <= threshold (false for
-// NaN) does; the nan term does that without a branch, because a v != v
-// branch made BenchmarkCompiledBatch ~12% slower. Inputs are binned on
-// these integers because integer compares if-convert to branch-free
-// selects.
+// goes right at every split, as the interpreted walk's x <= threshold
+// (false for NaN) does; the nan term does that without a branch,
+// because a v != v branch made BenchmarkCompiledBatch ~12% slower.
+// Inputs are binned on these integers because integer compares
+// if-convert to branch-free selects.
 func orderedBits(v float64) uint64 {
 	b := math.Float64bits(v + 0)
 	nan := (0x7FF0000000000000 - b&^(1<<63)) >> 63 // 1 iff v is NaN
 	return b ^ (uint64(int64(b)>>63) | 1<<63) | -nan
 }
 
-// binValueBits is binValue over order-mapped edges: a branchless lower
-// bound. The compare is bits.Sub64's borrow flag and the interval update
-// a masked add, so a block's binning takes no data-dependent mispredicts
-// — the compiler's own if-conversion does not fire on this shape.
+// binValueBits maps an order-mapped value to its bin, the index of the
+// first order-mapped edge >= u, with a branchless lower bound over the
+// len(qe)+1 possible bins. The compare is bits.Sub64's borrow flag and
+// the interval update a masked add, so binning takes no data-dependent
+// mispredicts — the compiler's own if-conversion does not fire on this
+// shape. The probes skip bounds checks: the bin stays in [base,
+// base+n-1] ⊆ [0, len(qe)], so every probe, at most base+n-2, is in
+// range, and an empty qe probes nothing and bins everything to 0. Block
+// binning is the batch kernels' second-hottest path after traversal.
 func binValueBits(qe []uint64, u uint64) uint8 {
-	base, n := uint64(0), uint64(len(qe))
+	p := unsafe.Pointer(unsafe.SliceData(qe))
+	base, n := uint64(0), uint64(len(qe))+1
 	for n > 1 {
 		half := n >> 1
-		_, borrow := bits.Sub64(qe[base+half-1], u, 0) // borrow = qe[...] < u
+		_, borrow := bits.Sub64(*(*uint64)(unsafe.Add(p, uintptr(base+half-1)*8)), u, 0) // borrow = edge < u
 		base += half & (0 - borrow)
 		n -= half
-	}
-	if n == 1 {
-		_, borrow := bits.Sub64(qe[base], u, 0)
-		base += borrow
-	}
-	return uint8(base)
-}
-
-// binValueBitsPtr is binValueBits over a raw edge pointer: the same
-// branchless lower bound with the per-probe bounds checks gone. base
-// stays in [0, n] by construction (each masked add keeps base+n inside
-// the original interval), so every probe is in range — the block
-// binning loop is the kernel's second-hottest path after traversal.
-func binValueBitsPtr(edges unsafe.Pointer, nEdges uint64, u uint64) uint8 {
-	base, n := uint64(0), nEdges
-	for n > 1 {
-		half := n >> 1
-		probe := *(*uint64)(unsafe.Add(edges, uintptr(base+half-1)*8))
-		_, borrow := bits.Sub64(probe, u, 0) // borrow = probe < u
-		base += half & (0 - borrow)
-		n -= half
-	}
-	if n == 1 {
-		probe := *(*uint64)(unsafe.Add(edges, uintptr(base)*8))
-		_, borrow := bits.Sub64(probe, u, 0)
-		base += borrow
 	}
 	return uint8(base)
 }
@@ -601,9 +524,8 @@ func binValueBitsPtr(edges unsafe.Pointer, nEdges uint64, u uint64) uint8 {
 func (e *Ensemble) NumTrees() int { return len(e.treeDepth) }
 
 // Kernel names the batch kernel PredictInto runs, chosen at Compile
-// time: "bitmask" for a quantized ensemble whose trees all have at most
-// 64 leaves, "banked" for any other quantized ensemble, and "raw" for
-// one compiled without edges.
+// time: "bitmask" when every tree has at most 64 leaves, "banked"
+// otherwise. Both bin rows on the edges Compile took from the splits.
 func (e *Ensemble) Kernel() string { return e.kernel }
 
 // qstep computes one branch-free traversal step: 0 (left) when
@@ -613,43 +535,18 @@ func qstep(bin uint8, qv uint8) int32 {
 	return int32((uint32(bin) - uint32(qv)) >> 31)
 }
 
-// Predict evaluates one feature vector, traversing trees in order with
-// the same accumulation the interpreted ensembles use.
+// Predict evaluates one feature vector with the one-row walker. It bins
+// the row once, then walks the ensemble eight trees abreast with
+// register-resident cursors: the eight chains are data-independent, and
+// because adjacent trees' level slices are adjacent inside each bank,
+// one depth-step of a tree group touches one contiguous bank stretch
+// (bank 0 holds all eight roots in one or two cache lines). Trees
+// shallower than maxDepth spin on their self-looping leaves, so every
+// group walks the same fixed maxDepth steps; leaf values accumulate in
+// tree order — the same adds in the same order as the interpreted
+// ensemble. Bounds-check elision via unsafe follows the same
+// Compile-time in-range proof as the batch kernel.
 func (e *Ensemble) Predict(x []float64) float64 {
-	if e.edges != nil {
-		return e.predictQuantized(x)
-	}
-	acc := e.init
-	feature, thresh, left := e.feature, e.thresh, e.left
-	for _, root := range e.treeOff {
-		i := root
-		for feature[i] >= 0 {
-			if x[feature[i]] <= thresh[i] {
-				i = left[i]
-			} else {
-				i = left[i] + 1
-			}
-		}
-		acc += e.scale * e.value[i]
-	}
-	if e.div != 0 {
-		acc /= e.div
-	}
-	return acc
-}
-
-// predictQuantized bins the row once, then walks the ensemble eight
-// trees abreast with register-resident cursors: the eight chains are
-// data-independent, and because adjacent trees' level slices are
-// adjacent inside each bank, one depth-step of a tree group touches one
-// contiguous bank stretch (bank 0 holds all eight roots in one or two
-// cache lines). Trees shallower than maxDepth spin on their
-// self-looping leaves, so every group walks the same fixed maxDepth
-// steps; leaf values accumulate in tree order — the same adds in the
-// same order as the interpreted ensemble. Bounds-check elision via
-// unsafe follows the same Compile-time in-range proof as the batch
-// kernel.
-func (e *Ensemble) predictQuantized(x []float64) float64 {
 	var qbuf [64]uint8
 	q := qbuf[:]
 	if e.nFeat > len(qbuf) {
@@ -717,43 +614,11 @@ func (e *Ensemble) predictQuantized(x []float64) float64 {
 // goroutine. It reads only the ensemble's immutable state, so any number
 // of calls may run at once.
 func (e *Ensemble) PredictInto(X [][]float64, out []float64) {
-	switch e.kernel {
-	case kernelBitmask:
+	if e.kernel == kernelBitmask {
 		e.predictIntoBitmask(X, out)
-	case kernelBanked:
-		e.predictIntoQuantized(X, out)
-	default:
-		e.predictIntoRaw(X, out)
+		return
 	}
-}
-
-// predictIntoRaw is the float-compare blocked kernel: trees outer,
-// row-blocks inner, so a tree's nodes are streamed once per block. It
-// serves ensembles loaded from legacy artifacts without stored edges.
-func (e *Ensemble) predictIntoRaw(X [][]float64, out []float64) {
-	feature, thresh, left, value := e.feature, e.thresh, e.left, e.value
-	var acc [blockRows]float64
-	for b := 0; b < len(X); b += blockRows {
-		n := min(len(X)-b, blockRows)
-		for r := 0; r < n; r++ {
-			acc[r] = e.init
-		}
-		for _, root := range e.treeOff {
-			for r := 0; r < n; r++ {
-				x := X[b+r]
-				i := root
-				for feature[i] >= 0 {
-					if x[feature[i]] <= thresh[i] {
-						i = left[i]
-					} else {
-						i = left[i] + 1
-					}
-				}
-				acc[r] += e.scale * value[i]
-			}
-		}
-		e.flush(acc[:n], out[b:b+n])
-	}
+	e.predictIntoBanked(X, out)
 }
 
 // batchScratch is one block's bin buffer and mask accumulators, pooled
@@ -780,21 +645,14 @@ func getScratch(nf int) *batchScratch {
 // block.
 func (e *Ensemble) binBlock(rows [][]float64, q []uint8, rs, fs int) {
 	for f, qe := range e.qedges {
-		if len(qe) == 0 {
-			for r := range rows {
-				q[r*rs+f*fs] = 0
-			}
-			continue
-		}
-		eb, ne := unsafe.Pointer(&qe[0]), uint64(len(qe))
 		for r, x := range rows {
-			q[r*rs+f*fs] = binValueBitsPtr(eb, ne, orderedBits(x[f]))
+			q[r*rs+f*fs] = binValueBits(qe, orderedBits(x[f]))
 		}
 	}
 }
 
-// predictIntoQuantized is the banked batch walk, for the quantized
-// ensembles the bitmask kernel does not take. It bins each row once per
+// predictIntoBanked is the banked batch walk, for the ensembles the
+// bitmask kernel does not take. It bins each row once per
 // block, then walks the banked layout tree-outer, eight rows abreast
 // with register-resident cursors: each tree's depth-step advances eight
 // data-independent chains from its slice of bank d to its slice of bank
@@ -806,7 +664,7 @@ func (e *Ensemble) binBlock(rows [][]float64, q []uint8, rs, fs int) {
 // is proven in range at Compile time (left child indices land inside
 // lnodes, feat < NumFeatures, leaves self-loop), and the parity/fuzz
 // suite pins the kernel against the interpreted walk.
-func (e *Ensemble) predictIntoQuantized(X [][]float64, out []float64) {
+func (e *Ensemble) predictIntoBanked(X [][]float64, out []float64) {
 	lnodes, lvalue, nf := e.lnodes, e.lvalue, e.nFeat
 	nTrees := len(e.treeDepth)
 	scale := e.scale
@@ -881,8 +739,8 @@ func (e *Ensemble) predictIntoQuantized(X [][]float64, out []float64) {
 	batchScratchPool.Put(sc)
 }
 
-// predictIntoBitmask is the batch kernel for quantized ensembles whose
-// trees have at most 64 leaves (buildMasks has the whole rule). Instead
+// predictIntoBitmask is the batch kernel for ensembles whose trees have
+// at most 64 leaves (buildMasks has the whole rule). Instead
 // of walking a tree, it ANDs, over the features the tree splits on, the
 // precomputed leaf mask for each row's bin; the lowest surviving bit is
 // the exit leaf. That is exact: every leaf left of the exit leaf lies in

@@ -2,6 +2,7 @@ package compiled_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -56,8 +57,8 @@ func TestCompiledGBDTParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := m.Compiled()
-	if e == nil || !e.Quantized() {
-		t.Fatal("fit must compile a quantized kernel")
+	if e == nil || e.Kernel() != "bitmask" {
+		t.Fatal("a depth-5 fit must compile the bitmask kernel")
 	}
 	probes := probeRows(X, nf, 2)
 
@@ -76,42 +77,104 @@ func TestCompiledGBDTParity(t *testing.T) {
 	}
 }
 
-func TestCompiledRawVsQuantizedParity(t *testing.T) {
-	// The same ensemble compiled without edges (raw float compares) must
-	// agree bit-for-bit with the quantized kernel and the interpreter.
+func TestCompiledSaveLoadParity(t *testing.T) {
+	// Load rebuilds the kernel from the trees alone, so an artifact as
+	// Save writes it, one that also carries the training Binner's edges
+	// (the format saved before edges were taken from the splits) and one
+	// with an empty edge list all select the fitted model's kernel and
+	// agree bit for bit with the interpreter.
 	const nf = 5
 	X, y := synthData(700, nf, 3)
 	m := gbdt.New(gbdt.Config{Estimators: 30, MaxDepth: 6, Seed: 11})
 	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	// Round-trip through the serialised form drops nothing: Save keeps
-	// edges, so the loaded model still compiles quantized.
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	probes := probeRows(X, nf, 4)
+	fitted := m.Compiled().PredictBatch(probes)
+	for i, x := range probes {
+		if want := m.Predict(x); fitted[i] != want {
+			t.Fatalf("fitted row %d: %v != %v", i, fitted[i], want)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"saved", saved.Bytes()},
+		{"with edges", edgePayload(t, m, tree.NewBinner(X, tree.MaxBins).Edges, nil)},
+		{"without edges", edgePayload(t, m, nil, nil)},
+	} {
+		loaded, err := gbdt.Load(bytes.NewReader(c.payload))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		e := loaded.Compiled()
+		if k := e.Kernel(); k != "bitmask" || k != m.Compiled().Kernel() {
+			t.Fatalf("%s: loaded model selects the %s kernel, fitted one the %s", c.name, k, m.Compiled().Kernel())
+		}
+		batch := loaded.PredictBatch(probes)
+		for i, x := range probes {
+			want := m.Predict(x)
+			if math.Float64bits(batch[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: batch row %d: %v != interpreted %v", c.name, i, batch[i], want)
+			}
+			if got := e.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: single row %d: %v != interpreted %v", c.name, i, got, want)
+			}
+		}
+	}
+}
+
+// edgeModelDTO copies gbdt's artifact payload as saved when artifacts
+// still carried the training Binner's bin edges.
+type edgeModelDTO struct {
+	Version      int
+	Base         float64
+	LearningRate float64
+	NFeat        int
+	FeatGain     []float64
+	Trees        []tree.TreeDTO
+	Edges        [][]float64
+}
+
+// edgePayload re-encodes m's saved payload in that form, with the given
+// edges and, when edit is set, edited.
+func edgePayload(t *testing.T, m *gbdt.Model, edges [][]float64, edit func(*edgeModelDTO)) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := gbdt.Load(&buf)
-	if err != nil {
+	var dto edgeModelDTO
+	if err := gob.NewDecoder(&buf).Decode(&dto); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Compiled() == nil || !loaded.Compiled().Quantized() {
-		t.Fatal("loaded model must compile quantized from stored edges")
+	dto.Edges = edges
+	if edit != nil {
+		edit(&dto)
 	}
-	probes := probeRows(X, nf, 4)
-	want := make([]float64, len(probes))
-	for i, x := range probes {
-		want[i] = m.Predict(x)
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+		t.Fatal(err)
 	}
-	quant := m.Compiled().PredictBatch(probes)
-	fromLoad := loaded.Compiled().PredictBatch(probes)
-	for i := range probes {
-		if quant[i] != want[i] {
-			t.Fatalf("quantized row %d: %v != %v", i, quant[i], want[i])
-		}
-		if fromLoad[i] != want[i] {
-			t.Fatalf("loaded row %d: %v != %v", i, fromLoad[i], want[i])
-		}
+	return buf.Bytes()
+}
+
+func TestLoadRejectsNaNThreshold(t *testing.T) {
+	X, y := synthData(300, 3, 5)
+	m := gbdt.New(gbdt.Config{Estimators: 3, MaxDepth: 3, Seed: 1})
+	if err := m.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	payload := edgePayload(t, m, nil, func(dto *edgeModelDTO) {
+		dto.Trees[1].Nodes[0].Threshold = math.NaN()
+	})
+	if _, err := gbdt.Load(bytes.NewReader(payload)); err == nil {
+		t.Fatal("a NaN threshold must fail the load")
 	}
 }
 
@@ -123,8 +186,8 @@ func TestCompiledForestParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := m.Compiled()
-	if e == nil || !e.Quantized() {
-		t.Fatal("fit must compile a quantized kernel")
+	if e == nil || e.Kernel() != "banked" {
+		t.Fatal("a depth-9 forest must compile the banked kernel")
 	}
 	probes := probeRows(X, nf, 6)
 	batch := m.PredictBatch(probes)
@@ -156,12 +219,38 @@ func TestCompileRejectsBadInput(t *testing.T) {
 	if _, err := compiled.Compile(trees, compiled.Config{NumFeatures: 0, Scale: 1}); err == nil {
 		t.Fatal("zero feature count must not compile")
 	}
-	// Edges that do not contain the tree's threshold must be refused
-	// rather than silently mis-quantizing.
-	if _, err := compiled.Compile(trees, compiled.Config{NumFeatures: 1, Scale: 1, Edges: [][]float64{{0.5}}}); err == nil {
-		t.Fatal("mismatched edges must not compile")
+	nan, err := tree.Import(tree.TreeDTO{Nodes: []tree.NodeDTO{
+		{Feature: 0, Threshold: math.NaN(), Left: 1, Right: 2},
+		{Feature: -1, Value: 10},
+		{Feature: -1, Value: 20},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e, err := compiled.Compile(trees, compiled.Config{NumFeatures: 1, Scale: 1, Edges: [][]float64{{0.25}}})
+	if _, err := compiled.Compile([]*tree.Tree{stump, nan}, compiled.Config{NumFeatures: 1, Scale: 1}); err == nil {
+		t.Fatal("a NaN threshold must not compile")
+	}
+	// 255 distinct thresholds on feature 1 leave no room for the leaf
+	// sentinel bin; 254 still compile.
+	var many []*tree.Tree
+	for i := 0; i < 255; i++ {
+		tr, err := tree.Import(tree.TreeDTO{Nodes: []tree.NodeDTO{
+			{Feature: 1, Threshold: float64(i), Left: 1, Right: 2},
+			{Feature: -1, Value: 1},
+			{Feature: -1, Value: 2},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		many = append(many, tr)
+	}
+	if _, err := compiled.Compile(many, compiled.Config{NumFeatures: 2, Scale: 1}); err == nil {
+		t.Fatal("255 distinct thresholds on one feature must not compile")
+	}
+	if _, err := compiled.Compile(many[:254], compiled.Config{NumFeatures: 2, Scale: 1}); err != nil {
+		t.Fatalf("254 distinct thresholds: %v", err)
+	}
+	e, err := compiled.Compile(trees, compiled.Config{NumFeatures: 1, Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,3 @@ func (k *RNN) PredictPrimed(seq [][]float64, goRaw *float64) ([]float64, error) 
 	k.pool.Put(s)
 	return out, nil
 }
-
-// Quantized reports whether the uint8 bin-compare kernel is available.
-func (e *Ensemble) Quantized() bool { return e.edges != nil }

@@ -13,9 +13,10 @@ import (
 // features, on bin edges, extreme and non-finite values, and at every
 // batch-size boundary.
 
-// kernelEdges are the test features' bin edges: a full 254-edge feature
-// (so the top bin is 254), a 61-edge feature straddling zero, small
-// ones, one no tree splits on, and one with no edges at all.
+// kernelEdges are the edges the test trees take their thresholds from:
+// a full 254-edge feature (the ladder of stumps splits on every one, so
+// the top bin is 254), a 61-edge feature straddling zero, small ones,
+// one no tree splits on, and one with no edges at all.
 func kernelEdges() [][]float64 {
 	e0 := make([]float64, 254)
 	for i := range e0 {
@@ -156,21 +157,21 @@ func edgeRows(edges [][]float64, n int) [][]float64 {
 	return rows
 }
 
-// edgeCase is one hand-built ensemble, compiled with and without edges.
+// edgeCase is one hand-built ensemble and its compiled form.
 type edgeCase struct {
 	name   string
 	kernel string // the batch kernel Compile must select
+	ladder bool   // the trees end with the ladder of stumps
 	trees  []*tree.Tree
-	cfg    Config // with edges
-	e, raw *Ensemble
+	cfg    Config
+	e      *Ensemble
 }
 
 // kernels lists every batch entry point the case can run.
 func (c edgeCase) kernels() map[string]func([][]float64, []float64) {
 	k := map[string]func([][]float64, []float64){
 		"PredictInto": c.e.PredictInto,
-		"banked":      c.e.predictIntoQuantized,
-		"raw":         c.raw.PredictInto,
+		"banked":      c.e.predictIntoBanked,
 	}
 	if c.e.Kernel() == kernelBitmask {
 		k["bitmask"] = c.e.predictIntoBitmask
@@ -182,8 +183,11 @@ func (c edgeCase) kernels() map[string]func([][]float64, []float64) {
 // (64 leaves, so the exit can be bit 63), boosted and forest mixes with
 // a lone leaf, a single split at the top edge, a three-feature tree,
 // lopsided and comb-shaped trees (unequal leaf counts at every split),
-// stumps only, and one 65-leaf tree (which forces the banked walk).
-// No tree splits on features 3 and 4.
+// stumps only (lone leaves, so no feature has an edge), a ladder of
+// stumps, one split on each of feature 0's 254 edges, and one 65-leaf
+// tree (which forces the banked walk) that also carries the ladder, so
+// each batch kernel bins feature 0 up to 254. No tree splits on
+// features 3 and 4.
 func edgeCases(tb testing.TB) []edgeCase {
 	edges := kernelEdges()
 	leaf := 1.0
@@ -195,32 +199,36 @@ func edgeCases(tb testing.TB) []edgeCase {
 	leftComb := combTree(6, 1, edges, false, &leaf)
 	stump := []tree.NodeDTO{{Feature: -1, Value: -3.5}}
 	split := []tree.NodeDTO{{Feature: 0, Threshold: edges[0][253], Left: 1, Right: 2}, {Feature: -1, Value: 2}, {Feature: -1, Value: 9}}
+	var ladder [][]tree.NodeDTO
+	for i, v := range edges[0] {
+		ladder = append(ladder, []tree.NodeDTO{{Feature: 0, Threshold: v, Left: 1, Right: 2}, {Feature: -1, Value: float64(i)}, {Feature: -1, Value: 0.5 - float64(i)}})
+	}
 	specs := []struct {
 		name   string
 		trees  [][]tree.NodeDTO
 		cfg    Config
 		kernel string
+		ladder bool
 	}{
-		{"complete depth 6", [][]tree.NodeDTO{full}, Config{Scale: 1}, kernelBitmask},
-		{"boosted mix", [][]tree.NodeDTO{full, stump, split, small, lopsided, full}, Config{Init: 3.5, Scale: 0.1}, kernelBitmask},
-		{"forest mix", [][]tree.NodeDTO{small, rightComb, full, split, leftComb, stump}, Config{Scale: 1, Div: 6}, kernelBitmask},
-		{"stumps only", [][]tree.NodeDTO{stump, stump}, Config{Init: 1, Scale: 0.5}, kernelBitmask},
-		{"a 65-leaf tree", [][]tree.NodeDTO{full, wide, stump}, Config{Init: -2, Scale: 0.1}, kernelBanked},
+		{"complete depth 6", [][]tree.NodeDTO{full}, Config{Scale: 1}, kernelBitmask, false},
+		{"boosted mix", [][]tree.NodeDTO{full, stump, split, small, lopsided, full}, Config{Init: 3.5, Scale: 0.1}, kernelBitmask, false},
+		{"forest mix", [][]tree.NodeDTO{small, rightComb, full, split, leftComb, stump}, Config{Scale: 1, Div: 6}, kernelBitmask, false},
+		{"stumps only", [][]tree.NodeDTO{stump, stump}, Config{Init: 1, Scale: 0.5}, kernelBitmask, false},
+		{"ladder", nil, Config{Init: 1, Scale: 0.5}, kernelBitmask, true},
+		{"a 65-leaf tree", [][]tree.NodeDTO{full, wide, stump}, Config{Init: -2, Scale: 0.1}, kernelBanked, true},
 	}
 	cases := make([]edgeCase, len(specs))
 	for i, sp := range specs {
-		c := edgeCase{name: sp.name, kernel: sp.kernel, cfg: sp.cfg}
+		c := edgeCase{name: sp.name, kernel: sp.kernel, ladder: sp.ladder, cfg: sp.cfg}
+		if sp.ladder {
+			sp.trees = append(sp.trees, ladder...)
+		}
 		for _, nodes := range sp.trees {
 			c.trees = append(c.trees, importTree(tb, nodes))
 		}
 		c.cfg.NumFeatures = len(edges)
-		rawCfg := c.cfg
-		c.cfg.Edges = edges
 		var err error
 		if c.e, err = Compile(c.trees, c.cfg); err != nil {
-			tb.Fatal(err)
-		}
-		if c.raw, err = Compile(c.trees, rawCfg); err != nil {
 			tb.Fatal(err)
 		}
 		cases[i] = c
@@ -235,8 +243,8 @@ func TestBatchKernelEdges(t *testing.T) {
 	sizes := []int{1, 3, 4, 5, 7, 8, 9, blockRows - 1, blockRows, blockRows + 1, len(X)}
 	for _, c := range edgeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			if c.e.Kernel() != c.kernel || c.raw.Kernel() != kernelRaw {
-				t.Fatalf("selected the %s and %s kernels, want %s and %s", c.e.Kernel(), c.raw.Kernel(), c.kernel, kernelRaw)
+			if c.e.Kernel() != c.kernel {
+				t.Fatalf("selected the %s kernel, want %s", c.e.Kernel(), c.kernel)
 			}
 			want := make([]float64, len(X))
 			for i, x := range X {
@@ -271,5 +279,34 @@ func TestCompleteTreeReachesEveryBit(t *testing.T) {
 	}
 	if len(c.trees) != 1 || len(seen) != 64 {
 		t.Fatalf("edge rows reach %d leaves of %d trees, want all 64 of one", len(seen), len(c.trees))
+	}
+}
+
+// TestLadderReachesTopBin checks that the ladder of stumps gives both
+// batch kernels all 254 of feature 0's edges, and that the edge rows
+// bin some of feature 0's values past the top edge, into bin 254.
+func TestLadderReachesTopBin(t *testing.T) {
+	rows := edgeRows(kernelEdges(), 2000)
+	kernels := map[string]bool{}
+	for _, c := range edgeCases(t) {
+		if !c.ladder {
+			continue
+		}
+		kernels[c.e.Kernel()] = true
+		if n := len(c.e.qedges[0]); n != 254 {
+			t.Fatalf("%s: feature 0 has %d edges, want 254", c.name, n)
+		}
+		top := 0
+		for _, x := range rows {
+			if binValueBits(c.e.qedges[0], orderedBits(x[0])) == 254 {
+				top++
+			}
+		}
+		if top == 0 {
+			t.Fatalf("%s (%s kernel): no edge row bins feature 0 to 254", c.name, c.e.Kernel())
+		}
+	}
+	if !kernels[kernelBitmask] || !kernels[kernelBanked] {
+		t.Fatalf("the ladder runs on the %v kernels, want both", kernels)
 	}
 }

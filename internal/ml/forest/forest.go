@@ -111,7 +111,6 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 		NumFeatures: len(binned),
 		Scale:       1,
 		Div:         float64(len(trees)),
-		Edges:       binner.Edges,
 	})
 	if err != nil {
 		return err

@@ -61,10 +61,6 @@ type Model struct {
 	trees    []*tree.Tree
 	nFeat    int
 	featGain []float64
-	// edges are the training Binner's quantile bin edges, retained (and
-	// serialised) so the compiled kernel can traverse on uint8 bin
-	// compares at serving time. nil for legacy artifacts.
-	edges [][]float64
 	// comp is the flattened inference kernel built by Fit/Load —
 	// bit-identical to walking trees (see internal/ml/compiled) and used
 	// by PredictBatch as the serving fast path.
@@ -143,7 +139,7 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 		}
 		trees = append(trees, t)
 	}
-	comp, err := compileModel(trees, nFeat, base, cfg.LearningRate, binner.Edges)
+	comp, err := compileModel(trees, nFeat, base, cfg.LearningRate)
 	if err != nil {
 		return err
 	}
@@ -151,7 +147,6 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 	m.nFeat = nFeat
 	m.featGain = featGain
 	m.trees = trees
-	m.edges = binner.Edges
 	m.comp = comp
 	return nil
 }
@@ -159,12 +154,11 @@ func (m *Model) Fit(X [][]float64, y []float64) error {
 // compileModel flattens a fitted boosting ensemble into its serving
 // kernel: acc = base; acc += lr*leaf per tree — the exact float sequence
 // of Predict.
-func compileModel(trees []*tree.Tree, nFeat int, base, lr float64, edges [][]float64) (*compiled.Ensemble, error) {
+func compileModel(trees []*tree.Tree, nFeat int, base, lr float64) (*compiled.Ensemble, error) {
 	return compiled.Compile(trees, compiled.Config{
 		NumFeatures: nFeat,
 		Init:        base,
 		Scale:       lr,
-		Edges:       edges,
 	})
 }
 

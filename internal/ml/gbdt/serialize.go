@@ -18,10 +18,12 @@ type modelDTO struct {
 	NFeat        int
 	FeatGain     []float64
 	Trees        []tree.TreeDTO
-	// Edges are the training Binner's quantile bin edges — optional
-	// (gob omits/ignores unknown fields, so pre-edge artifacts still
-	// load, with the quantized serving kernel simply unavailable).
-	Edges [][]float64
+	// Older artifacts also carry Edges, the training Binner's bin edges.
+	// gob skips fields the struct lacks, so they load unchanged and the
+	// edges are ignored: the compiled kernel takes its edges from the
+	// trees' own splits. Save writes none, so a binary from before
+	// derived edges serves what it saves on its slower float-compare
+	// kernel (same predictions; DESIGN.md, "Serving fast path").
 }
 
 // wireVersion guards against loading incompatible payloads.
@@ -39,7 +41,6 @@ func (m *Model) Save(w io.Writer) error {
 		NFeat:        m.nFeat,
 		FeatGain:     m.featGain,
 		Trees:        make([]tree.TreeDTO, len(m.trees)),
-		Edges:        m.edges,
 	}
 	for i, t := range m.trees {
 		dto.Trees[i] = t.Export()
@@ -73,17 +74,9 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		m.trees = append(m.trees, t)
 	}
-	// Rebuild the serving kernel. Artifacts written before edges were
-	// stored (or whose edges fail validation against the trees) compile
-	// the raw-compare kernel instead of failing the load.
-	comp, err := compileModel(m.trees, m.nFeat, m.base, m.cfg.LearningRate, dto.Edges)
+	comp, err := compileModel(m.trees, m.nFeat, m.base, m.cfg.LearningRate)
 	if err != nil {
-		comp, err = compileModel(m.trees, m.nFeat, m.base, m.cfg.LearningRate, nil)
-		if err != nil {
-			return nil, fmt.Errorf("gbdt: compile: %w", err)
-		}
-	} else {
-		m.edges = dto.Edges
+		return nil, fmt.Errorf("gbdt: compile: %w", err)
 	}
 	m.comp = comp
 	return m, nil
