@@ -13,12 +13,15 @@
 # part of tier1, but run it after touching the CSV loader, the model
 # artifact codec, the binary batch frames or the JSON request decoders.
 # `make unlinked` lists the functions no binary links (code only tests
-# run).
+# run). `make paper-values` prints every experiment's report and named
+# values (quick profile, seed 1) without the per-experiment timing lines,
+# so two commits' outputs can be diffed byte for byte; it takes ~12 min
+# on 2 vCPUs, so tier1 does not run it.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: tier1 build vet test race race-core race-parallel race-fleet race-ingest race-load race-abr parity bench bench-json bench-serve bench-fleet bench-ingest bench-load bench-abr fmt fuzz unlinked
+.PHONY: tier1 build vet test race race-core race-parallel race-fleet race-ingest race-load race-abr parity bench bench-json bench-serve bench-fleet bench-ingest bench-load bench-abr fmt fuzz unlinked paper-values
 
 tier1: ## gofmt + build + selftest + vet + race-enabled test suite + e2ebench vet/test (run `make fuzz` too when touching parsers)
 	test -z "$$(gofmt -l cmd internal examples tools *.go)"
@@ -80,6 +83,13 @@ parity:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# Every paper table, figure and extension with its named values, minus
+# the "-- id done in Ns --" lines: the same bytes on every run, so
+# `make paper-values > a.txt` on two commits and `cmp` shows whether a
+# change moved any paper number.
+paper-values:
+	@$(GO) run ./cmd/lumosbench -values | grep -v ' done in '
 
 # Machine-readable serial-vs-parallel speedup report (generate /
 # train_chain). The JSON records num_cpu and go_max_procs so speedups

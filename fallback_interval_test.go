@@ -179,7 +179,7 @@ func TestIntervalEmpiricalCoverage(t *testing.T) {
 	// The exact calibration holdout: coverage is ~80% by construction
 	// (conservative finite-sample ranks err slightly high).
 	mat := features.Build(d, GroupLM)
-	_, _, calX, calY := core.SplitMatrixForTest(mat, 0.7, sc.Seed)
+	_, _, calX, calY := core.SplitMatrix(mat, sc.Seed)
 	if f := coverage(calX, calY); f < 0.78 || f > 0.93 {
 		t.Fatalf("calibration-split coverage %.3f outside [0.78, 0.93]", f)
 	}

@@ -75,9 +75,9 @@ type Scale struct {
 	// SeqTrainCap caps Seq2Seq training windows for tractability;
 	// <=0 means 4000.
 	SeqTrainCap int
-	// TrainFrac is the train split (paper: 0.7).
-	TrainFrac float64
-	// Seed drives splits and model seeds.
+	// Seed drives splits and model seeds. The evaluation entry points
+	// (Evaluate, EvaluateMatrix, FeatureImportance, Transferability)
+	// read 0 as 1; NewRegressor, and so Train, seeds with it as given.
 	Seed uint64
 	// Workers bounds how many tiers the chain trainers
 	// (lumos5g.TrainFallbackChain, TrainCalibratedFallbackChain) train
@@ -93,9 +93,6 @@ func (s Scale) withDefaults() Scale {
 	}
 	if s.SeqTrainCap <= 0 {
 		s.SeqTrainCap = 4000
-	}
-	if s.TrainFrac <= 0 || s.TrainFrac >= 1 {
-		s.TrainFrac = 0.7
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -138,12 +135,44 @@ func scoreAll(res *Result, pred, truth []float64) {
 	res.NTest = len(truth)
 }
 
+// NewRegressor returns the unfitted model family kind configured from
+// sc: KNN, RF, OK, GDBT, or the LSTM and Seq2Seq tabular adapters
+// (length-1 sequences of the same features). It seeds the model with
+// sc.Seed exactly as given and applies no defaults, so the model
+// Evaluate scores and the model Train serves are built here alike. HM
+// has no tabular form and is an error.
+func NewRegressor(kind ModelKind, sc Scale) (ml.Regressor, error) {
+	switch kind {
+	case ModelKNN:
+		return knn.New(sc.KNN), nil
+	case ModelRF:
+		cfg := sc.RF
+		cfg.Seed = sc.Seed
+		return forest.New(cfg), nil
+	case ModelOK:
+		return kriging.New(sc.Kriging), nil
+	case ModelGDBT:
+		cfg := sc.GBDT
+		cfg.Seed = sc.Seed
+		return gbdt.New(cfg), nil
+	case ModelLSTM:
+		cfg := sc.Seq2Seq
+		cfg.Seed = sc.Seed
+		return nn.NewTabularLSTM(cfg), nil
+	case ModelSeq2Seq:
+		cfg := sc.Seq2Seq
+		cfg.Seed = sc.Seed
+		return nn.NewTabularSeq2Seq(cfg), nil
+	}
+	return nil, fmt.Errorf("core: no tabular model for %s (KNN, RF, OK, GDBT, LSTM and Seq2Seq have one)", kind)
+}
+
 // Evaluate trains the given model on the feature group over d (70/30
-// split) and scores it. HM and Seq2Seq have their own paths because they
-// consume history/sequences rather than tabular rows.
+// split) and scores it. HM, Seq2Seq and LSTM have their own paths
+// because they consume history/sequences rather than tabular rows; the
+// tabular models go through EvaluateMatrix.
 func Evaluate(d *dataset.Dataset, g features.Group, kind ModelKind, sc Scale) Result {
 	sc = sc.withDefaults()
-	res := Result{Model: kind, Group: g}
 	switch kind {
 	case ModelHM:
 		return evaluateHM(d, sc)
@@ -153,73 +182,38 @@ func Evaluate(d *dataset.Dataset, g features.Group, kind ModelKind, sc Scale) Re
 		return evaluateLSTM(d, g, sc)
 	case ModelOK:
 		if g != features.GroupL {
-			res.Err = kriging.ErrNotLocation
-			return res
+			return Result{Model: kind, Group: g, Err: kriging.ErrNotLocation}
 		}
 	}
-
 	m := features.Build(d, g)
 	if len(m.X) == 0 {
-		res.Err = fmt.Errorf("core: no usable rows for %s on this dataset", g)
-		return res
+		return Result{Model: kind, Group: g, Err: fmt.Errorf("core: no usable rows for %s on this dataset", g)}
 	}
-	trainX, trainY, testX, testY := splitMatrix(m, sc.TrainFrac, sc.Seed)
-
-	var reg ml.Regressor
-	switch kind {
-	case ModelKNN:
-		reg = knn.New(sc.KNN)
-	case ModelRF:
-		cfg := sc.RF
-		cfg.Seed = sc.Seed
-		reg = forest.New(cfg)
-	case ModelOK:
-		reg = kriging.New(sc.Kriging)
-	case ModelGDBT:
-		cfg := sc.GBDT
-		cfg.Seed = sc.Seed
-		reg = gbdt.New(cfg)
-	default:
-		res.Err = fmt.Errorf("core: unhandled model %v", kind)
-		return res
-	}
-	if err := reg.Fit(trainX, trainY); err != nil {
-		res.Err = err
-		return res
-	}
-	pred := ml.PredictAll(reg, testX)
-	scoreAll(&res, pred, testY)
+	res := EvaluateMatrix(m, kind, sc)
+	res.Group = g
 	return res
 }
 
 // EvaluateMatrix evaluates a tabular model (KNN, RF, OK, GDBT) on a
-// pre-built feature matrix with the standard 70/30 split — used by the
-// factor-analysis experiments (Tables 4 and 10) whose feature sets are
-// composed ad hoc rather than drawn from the named groups.
+// feature matrix with the standard 70/30 split (SplitMatrix). Evaluate
+// runs it on a named group's matrix; the factor-analysis experiments
+// (Tables 4 and 10) run it on feature sets composed ad hoc. HM, Seq2Seq
+// and LSTM are refused: the paper evaluates them on sequences.
 func EvaluateMatrix(m *features.Matrix, kind ModelKind, sc Scale) Result {
 	sc = sc.withDefaults()
 	res := Result{Model: kind}
-	if len(m.X) == 0 {
+	switch {
+	case len(m.X) == 0:
 		res.Err = fmt.Errorf("core: empty feature matrix")
 		return res
-	}
-	trainX, trainY, testX, testY := splitMatrix(m, sc.TrainFrac, sc.Seed)
-	var reg ml.Regressor
-	switch kind {
-	case ModelKNN:
-		reg = knn.New(sc.KNN)
-	case ModelRF:
-		cfg := sc.RF
-		cfg.Seed = sc.Seed
-		reg = forest.New(cfg)
-	case ModelOK:
-		reg = kriging.New(sc.Kriging)
-	case ModelGDBT:
-		cfg := sc.GBDT
-		cfg.Seed = sc.Seed
-		reg = gbdt.New(cfg)
-	default:
+	case kind != ModelKNN && kind != ModelRF && kind != ModelOK && kind != ModelGDBT:
 		res.Err = fmt.Errorf("core: EvaluateMatrix supports tabular models only, not %v", kind)
+		return res
+	}
+	trainX, trainY, testX, testY := SplitMatrix(m, sc.Seed)
+	reg, err := NewRegressor(kind, sc)
+	if err != nil {
+		res.Err = err
 		return res
 	}
 	if err := reg.Fit(trainX, trainY); err != nil {
@@ -230,32 +224,10 @@ func EvaluateMatrix(m *features.Matrix, kind ModelKind, sc Scale) Result {
 	return res
 }
 
-// SplitMatrixForTest exposes the deterministic 70/30 split for harness
-// code that evaluates custom regressors.
-func SplitMatrixForTest(m *features.Matrix, frac float64, seed uint64) (trainX [][]float64, trainY []float64, testX [][]float64, testY []float64) {
-	return splitMatrix(m, frac, seed)
-}
-
-// splitMatrix splits a feature matrix deterministically.
-func splitMatrix(m *features.Matrix, frac float64, seed uint64) (trainX [][]float64, trainY []float64, testX [][]float64, testY []float64) {
-	n := len(m.X)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	state := seed
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	nTrain := int(float64(n) * frac)
+// SplitMatrix splits a feature matrix 70/30 by dataset.SplitOrder: the
+// split Evaluate scores on and TrainCalibrated calibrates on.
+func SplitMatrix(m *features.Matrix, seed uint64) (trainX [][]float64, trainY []float64, testX [][]float64, testY []float64) {
+	perm, nTrain := dataset.SplitOrder(len(m.X), seed)
 	for i, idx := range perm {
 		if i < nTrain {
 			trainX = append(trainX, m.X[idx])
@@ -288,24 +260,29 @@ func evaluateHM(d *dataset.Dataset, sc Scale) Result {
 	return res
 }
 
+// sequenceSplit windows d under g (next-slot targets) and returns the
+// 70/30 split of the windows, the train side capped at SeqTrainCap and
+// the test side at half that (at least 500): the sequences Seq2Seq and
+// the LSTM baseline both train and score on.
+func sequenceSplit(d *dataset.Dataset, g features.Group, sc Scale) (train, test *features.SequenceSet, err error) {
+	set := features.BuildSequences(d, g, sc.SeqLen, 1)
+	if len(set.X) == 0 {
+		return nil, nil, fmt.Errorf("core: no usable sequences for %s", g)
+	}
+	train, test = set.SplitTrainTest(sc.Seed)
+	return train.Subsample(sc.SeqTrainCap, sc.Seed), test.Subsample(max(sc.SeqTrainCap/2, 500), sc.Seed+1), nil
+}
+
 // evaluateSeq2Seq trains the encoder–decoder on windowed sequences.
 func evaluateSeq2Seq(d *dataset.Dataset, g features.Group, sc Scale) Result {
 	res := Result{Model: ModelSeq2Seq, Group: g}
-	set := features.BuildSequences(d, g, sc.SeqLen, 1)
-	if len(set.X) == 0 {
-		res.Err = fmt.Errorf("core: no usable sequences for %s", g)
+	train, test, err := sequenceSplit(d, g, sc)
+	if err != nil {
+		res.Err = err
 		return res
 	}
-	train, test := set.SplitTrainTest(sc.TrainFrac, sc.Seed)
-	train = train.Subsample(sc.SeqTrainCap, sc.Seed)
-	testCap := sc.SeqTrainCap / 2
-	if testCap < 500 {
-		testCap = 500
-	}
-	test = test.Subsample(testCap, sc.Seed+1)
-
 	cfg := sc.Seq2Seq
-	cfg.InputDim = len(set.Names)
+	cfg.InputDim = len(train.Names)
 	cfg.OutLen = 1
 	cfg.Seed = sc.Seed
 	model, err := nn.NewSeq2Seq(cfg)
@@ -347,21 +324,13 @@ func evaluateSeq2Seq(d *dataset.Dataset, g features.Group, sc Scale) Result {
 // sequences as Seq2Seq (next-slot targets only).
 func evaluateLSTM(d *dataset.Dataset, g features.Group, sc Scale) Result {
 	res := Result{Model: ModelLSTM, Group: g}
-	set := features.BuildSequences(d, g, sc.SeqLen, 1)
-	if len(set.X) == 0 {
-		res.Err = fmt.Errorf("core: no usable sequences for %s", g)
+	train, test, err := sequenceSplit(d, g, sc)
+	if err != nil {
+		res.Err = err
 		return res
 	}
-	train, test := set.SplitTrainTest(sc.TrainFrac, sc.Seed)
-	train = train.Subsample(sc.SeqTrainCap, sc.Seed)
-	testCap := sc.SeqTrainCap / 2
-	if testCap < 500 {
-		testCap = 500
-	}
-	test = test.Subsample(testCap, sc.Seed+1)
-
 	cfg := sc.Seq2Seq
-	cfg.InputDim = len(set.Names)
+	cfg.InputDim = len(train.Names)
 	cfg.Seed = sc.Seed
 	model, err := nn.NewLSTMRegressor(cfg)
 	if err != nil {
@@ -412,13 +381,14 @@ func FeatureImportance(d *dataset.Dataset, g features.Group, sc Scale) (names []
 	if len(m.X) == 0 {
 		return nil, nil, fmt.Errorf("core: no usable rows for %s", g)
 	}
-	cfg := sc.GBDT
-	cfg.Seed = sc.Seed
-	model := gbdt.New(cfg)
+	model, err := NewRegressor(ModelGDBT, sc)
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := model.Fit(m.X, m.Y); err != nil {
 		return nil, nil, err
 	}
-	raw, err := model.FeatureImportance()
+	raw, err := model.(*gbdt.Model).FeatureImportance()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"lumos5g/internal/dataset"
 	"lumos5g/internal/features"
 	"lumos5g/internal/ml"
-	"lumos5g/internal/ml/gbdt"
 	"lumos5g/internal/stats"
 )
 
@@ -42,9 +41,10 @@ func Transferability(d *dataset.Dataset, trainPanelID, testPanelID int, nearMete
 	if len(trainM.X) == 0 || len(testM.X) == 0 {
 		return nil, fmt.Errorf("core: transferability needs T features on both panels")
 	}
-	cfg := sc.GBDT
-	cfg.Seed = sc.Seed
-	model := gbdt.New(cfg)
+	model, err := NewRegressor(ModelGDBT, sc)
+	if err != nil {
+		return nil, err
+	}
 	if err := model.Fit(trainM.X, trainM.Y); err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"lumos5g/internal/geo"
 	"lumos5g/internal/radio"
+	"lumos5g/internal/rng"
 )
 
 // Record is one per-second sample with every field of Table 1 plus the
@@ -180,15 +181,25 @@ func (d *Dataset) QualityFilter() (*Dataset, int) {
 	return out, dropped
 }
 
-// SplitTrainTest splits the dataset with the given train fraction using a
-// deterministic permutation from the seed (the paper uses a random 70/30
-// split, §6.1).
-func (d *Dataset) SplitTrainTest(trainFrac float64, seed uint64) (train, test *Dataset) {
-	n := len(d.Records)
-	perm := permutation(n, seed)
-	nTrain := int(float64(n) * trainFrac)
+// TrainFrac is the train share of every train/holdout split: the
+// paper's random 70/30 split (§6.1). Evaluation, conformal calibration
+// and the ingest refit gate all split at it.
+const TrainFrac = 0.7
+
+// SplitOrder is the seeded 70/30 split of n rows: rows perm[:nTrain]
+// train and perm[nTrain:] are held out, where perm is
+// rng.New(seed).Perm(n) and nTrain is ⌊TrainFrac·n⌋. Every split in
+// the repository takes its rows from here.
+func SplitOrder(n int, seed uint64) (perm []int, nTrain int) {
+	return rng.New(seed).Perm(n), int(float64(n) * TrainFrac)
+}
+
+// SplitTrainTest splits the dataset 70/30 by SplitOrder (the paper uses
+// a random 70/30 split, §6.1).
+func (d *Dataset) SplitTrainTest(seed uint64) (train, test *Dataset) {
+	perm, nTrain := SplitOrder(len(d.Records), seed)
 	train = &Dataset{Records: make([]Record, 0, nTrain)}
-	test = &Dataset{Records: make([]Record, 0, n-nTrain)}
+	test = &Dataset{Records: make([]Record, 0, len(perm)-nTrain)}
 	for i, idx := range perm {
 		if i < nTrain {
 			train.Records = append(train.Records, d.Records[idx])
@@ -197,28 +208,6 @@ func (d *Dataset) SplitTrainTest(trainFrac float64, seed uint64) (train, test *D
 		}
 	}
 	return train, test
-}
-
-// permutation is a small local Fisher-Yates over SplitMix64 so dataset
-// does not depend on the rng package's evolving API.
-func permutation(n int, seed uint64) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	state := seed
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // GridGroup buckets records into 2 m × 2 m pixel grids (the Fig 6 / §4.1

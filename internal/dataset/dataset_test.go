@@ -83,7 +83,7 @@ func TestSplitTrainTest(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		d.Append(mkRecord("Airport", i/100, i%100, float64(i)))
 	}
-	train, test := d.SplitTrainTest(0.7, 42)
+	train, test := d.SplitTrainTest(42)
 	if train.Len() != 700 || test.Len() != 300 {
 		t.Fatalf("split sizes = %d/%d", train.Len(), test.Len())
 	}
@@ -99,14 +99,14 @@ func TestSplitTrainTest(t *testing.T) {
 		t.Fatalf("split lost or duplicated records: %d unique", len(seen))
 	}
 	// Deterministic.
-	train2, _ := d.SplitTrainTest(0.7, 42)
+	train2, _ := d.SplitTrainTest(42)
 	for i := range train.Records {
 		if train.Records[i].ThroughputMbps != train2.Records[i].ThroughputMbps {
 			t.Fatal("same seed should give same split")
 		}
 	}
 	// Different seed differs.
-	train3, _ := d.SplitTrainTest(0.7, 43)
+	train3, _ := d.SplitTrainTest(43)
 	same := 0
 	for i := range train.Records {
 		if train.Records[i].ThroughputMbps == train3.Records[i].ThroughputMbps {

@@ -5,10 +5,10 @@ import (
 	"sort"
 
 	"lumos5g/internal/abr"
+	"lumos5g/internal/core"
 	"lumos5g/internal/dataset"
 	"lumos5g/internal/features"
 	"lumos5g/internal/ml"
-	"lumos5g/internal/ml/gbdt"
 	"lumos5g/internal/radio"
 	"lumos5g/internal/stats"
 )
@@ -53,9 +53,11 @@ func ABR(l *Lab) *Report {
 	// trajectory-of-features setting — the app knows where the user is
 	// heading).
 	mTrain := features.Build(train, features.GroupLMC)
-	cfg := sc.GBDT
-	cfg.Seed = sc.Seed
-	model := gbdt.New(cfg)
+	model, err := core.NewRegressor(core.ModelGDBT, sc)
+	if err != nil {
+		r.Printf("NA (%v)", err)
+		return r
+	}
 	if err := model.Fit(mTrain.X, mTrain.Y); err != nil {
 		r.Printf("NA (%v)", err)
 		return r
@@ -193,9 +195,10 @@ func Crowd(l *Lab) *Report {
 		if len(mTrain.X) == 0 {
 			continue
 		}
-		cfg := sc.GBDT
-		cfg.Seed = sc.Seed
-		model := gbdt.New(cfg)
+		model, err := core.NewRegressor(core.ModelGDBT, sc)
+		if err != nil {
+			continue
+		}
 		if err := model.Fit(mTrain.X, mTrain.Y); err != nil {
 			continue
 		}

@@ -35,7 +35,7 @@ func Horizon(l *Lab) *Report {
 		r.Printf("NA (no sequences)")
 		return r
 	}
-	train, test := set.SplitTrainTest(0.7, sc.Seed)
+	train, test := set.SplitTrainTest(sc.Seed)
 	train = train.Subsample(sc.SeqTrainCap, sc.Seed)
 	test = test.Subsample(sc.SeqTrainCap/2, sc.Seed+1)
 
@@ -111,7 +111,7 @@ func Temporal(l *Lab) *Report {
 			maxPass = p
 		}
 	}
-	cut := int(float64(maxPass+1) * 0.7)
+	cut := int(float64(maxPass+1) * dataset.TrainFrac)
 	train := d.Filter(func(rec *dataset.Record) bool { return rec.Pass < cut || rec.Pass >= 100000 })
 	test := d.Filter(func(rec *dataset.Record) bool { return rec.Pass >= cut && rec.Pass < 100000 })
 	sessionMAE := trainEvalGDBT(train, test, features.GroupLM, sc)
@@ -137,20 +137,31 @@ func Temporal(l *Lab) *Report {
 	return r
 }
 
-// trainEvalGDBT fits GDBT on one dataset and scores on another.
-func trainEvalGDBT(train, test *dataset.Dataset, g features.Group, sc core.Scale) float64 {
+// crossPredict fits GDBT under g on one dataset and predicts every row
+// of another; pred is nil when either side has no rows or the fit fails.
+func crossPredict(train, test *dataset.Dataset, g features.Group, sc core.Scale) (pred, truth []float64) {
 	mTrain := features.Build(train, g)
 	mTest := features.Build(test, g)
 	if len(mTrain.X) == 0 || len(mTest.X) == 0 {
-		return math.NaN()
+		return nil, nil
 	}
-	cfg := sc.GBDT
-	cfg.Seed = sc.Seed
-	model := gbdt.New(cfg)
+	model, err := core.NewRegressor(core.ModelGDBT, sc)
+	if err != nil {
+		return nil, nil
+	}
 	if err := model.Fit(mTrain.X, mTrain.Y); err != nil {
+		return nil, nil
+	}
+	return ml.PredictAll(model, mTest.X), mTest.Y
+}
+
+// trainEvalGDBT fits GDBT on one dataset and scores MAE on another.
+func trainEvalGDBT(train, test *dataset.Dataset, g features.Group, sc core.Scale) float64 {
+	pred, truth := crossPredict(train, test, g, sc)
+	if pred == nil {
 		return math.NaN()
 	}
-	return stats.MAE(ml.PredictAll(model, mTest.X), mTest.Y)
+	return stats.MAE(pred, truth)
 }
 
 // Sensitivity studies robustness to input-feature inaccuracy (§8.1's
@@ -163,10 +174,12 @@ func Sensitivity(l *Lab) *Report {
 	a := env.Airport()
 
 	m := features.Build(d, features.GroupLM)
-	trainX, trainY, _, _ := core.SplitMatrixForTest(m, 0.7, sc.Seed)
-	cfg := sc.GBDT
-	cfg.Seed = sc.Seed
-	model := gbdt.New(cfg)
+	trainX, trainY, _, _ := core.SplitMatrix(m, sc.Seed)
+	model, err := core.NewRegressor(core.ModelGDBT, sc)
+	if err != nil {
+		r.Printf("NA (%v)", err)
+		return r
+	}
 	if err := model.Fit(trainX, trainY); err != nil {
 		r.Printf("NA (%v)", err)
 		return r
@@ -175,7 +188,7 @@ func Sensitivity(l *Lab) *Report {
 	for _, sigma := range []float64{0, 5, 15, 30} {
 		noisy := perturbGPS(d, a, sigma, sc.Seed+uint64(sigma))
 		mt := features.Build(noisy, features.GroupLM)
-		_, _, testX, testY := core.SplitMatrixForTest(mt, 0.7, sc.Seed)
+		_, _, testX, testY := core.SplitMatrix(mt, sc.Seed)
 		mae := stats.MAE(ml.PredictAll(model, testX), testY)
 		r.Printf("GPS noise σ=%2.0f m: MAE %4.0f", sigma, mae)
 		r.Set(fmt.Sprintf("mae/%.0f", sigma), mae)
@@ -258,7 +271,7 @@ func NativeClassifier(l *Lab) *Report {
 	sc := l.Scale()
 
 	m := features.Build(d, features.GroupLMC)
-	trainX, trainY, testX, testY := core.SplitMatrixForTest(m, 0.7, sc.Seed)
+	trainX, trainY, testX, testY := core.SplitMatrix(m, sc.Seed)
 
 	// Route 1: regression + threshold.
 	regRes := core.EvaluateMatrix(m, core.ModelGDBT, sc)
@@ -324,20 +337,11 @@ func CrossArea(l *Lab) *Report {
 
 // crossEvalF1 trains GDBT on one area and scores w-avgF1 on another.
 func crossEvalF1(train, test *dataset.Dataset, g features.Group, sc core.Scale) float64 {
-	mTrain := features.Build(train, g)
-	mTest := features.Build(test, g)
-	if len(mTrain.X) == 0 || len(mTest.X) == 0 {
+	pred, truth := crossPredict(train, test, g, sc)
+	if pred == nil {
 		return math.NaN()
 	}
-	cfg := sc.GBDT
-	cfg.Seed = sc.Seed
-	model := gbdt.New(cfg)
-	if err := model.Fit(mTrain.X, mTrain.Y); err != nil {
-		return math.NaN()
-	}
-	pred := ml.PredictAll(model, mTest.X)
-	cm := stats.NewConfusionMatrix(ml.NumClasses, ml.ClassesOf(pred), ml.ClassesOf(mTest.Y))
-	return cm.WeightedF1()
+	return stats.NewConfusionMatrix(ml.NumClasses, ml.ClassesOf(pred), ml.ClassesOf(truth)).WeightedF1()
 }
 
 // LSTMBaseline compares the paper's Seq2Seq choice against the standard

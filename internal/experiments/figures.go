@@ -22,18 +22,8 @@ func Fig1(l *Lab) *Report {
 	d := l.Area("Loop")
 	traces := d.GroupByTrace()
 	var walkTrace, driveTrace []float64
-	for k, tr := range sortedTraceKeys(traces) {
-		_ = k
-		_ = tr
-		break
-	}
 	// Pick the first walking and first driving pass deterministically.
-	keys := make([]dataset.TraceKey, 0, len(traces))
-	for k := range traces {
-		keys = append(keys, k)
-	}
-	sortTraceKeys(keys)
-	for _, k := range keys {
+	for _, k := range traceOrder(traces) {
 		mode := traceMode(d, k)
 		if walkTrace == nil && mode == radio.Walking {
 			walkTrace = traces[k]
@@ -42,7 +32,11 @@ func Fig1(l *Lab) *Report {
 			driveTrace = traces[k]
 		}
 	}
-	for name, tr := range map[string][]float64{"walking": walkTrace, "driving": driveTrace} {
+	for _, p := range []struct {
+		name string
+		tr   []float64
+	}{{"walking", walkTrace}, {"driving", driveTrace}} {
+		name, tr := p.name, p.tr
 		if tr == nil {
 			continue
 		}
@@ -57,13 +51,13 @@ func Fig1(l *Lab) *Report {
 	return r
 }
 
-// sortedTraceKeys exists to keep Fig1's range deterministic; the body is
-// not used beyond iteration seeding.
-func sortedTraceKeys(m map[dataset.TraceKey][]float64) map[dataset.TraceKey][]float64 {
-	return m
-}
-
-func sortTraceKeys(keys []dataset.TraceKey) {
+// traceOrder returns the trace keys of m ordered by area, trajectory,
+// then pass.
+func traceOrder(m map[dataset.TraceKey][]float64) []dataset.TraceKey {
+	keys := make([]dataset.TraceKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
 	sort.Slice(keys, func(a, b int) bool {
 		ka, kb := keys[a], keys[b]
 		if ka.Area != kb.Area {
@@ -74,6 +68,7 @@ func sortTraceKeys(keys []dataset.TraceKey) {
 		}
 		return ka.Pass < kb.Pass
 	})
+	return keys
 }
 
 // traceMode returns the mobility mode of a trace.
@@ -201,7 +196,11 @@ func Fig9(l *Lab) *Report {
 	d := l.Area("Airport")
 	nb := d.Filter(func(rec *dataset.Record) bool { return rec.Trajectory == "NB" })
 	sb := d.Filter(func(rec *dataset.Record) bool { return rec.Trajectory == "SB" })
-	for name, part := range map[string]*dataset.Dataset{"NB": nb, "SB": sb} {
+	for _, p := range []struct {
+		name string
+		part *dataset.Dataset
+	}{{"NB", nb}, {"SB", sb}} {
+		name, part := p.name, p.part
 		tm := core.BuildThroughputMap(part, 2)
 		r.Printf("%s map (%d cells):", name, len(tm.Cells))
 		for _, line := range splitLines(tm.Render()) {
@@ -225,13 +224,8 @@ func Fig9(l *Lab) *Report {
 
 func traceValues(d *dataset.Dataset) [][]float64 {
 	m := d.GroupByTrace()
-	keys := make([]dataset.TraceKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortTraceKeys(keys)
-	out := make([][]float64, 0, len(keys))
-	for _, k := range keys {
+	out := make([][]float64, 0, len(m))
+	for _, k := range traceOrder(m) {
 		out = append(out, m[k])
 	}
 	return out
@@ -255,8 +249,11 @@ func Fig11(l *Lab) *Report {
 		}
 		return bins
 	}
-	for name, id := range map[string]int{"north": env.AirportNorthPanelID, "south": env.AirportSouthPanelID} {
-		bins := binsOf(id)
+	for _, p := range []struct {
+		name string
+		id   int
+	}{{"north", env.AirportNorthPanelID}, {"south", env.AirportSouthPanelID}} {
+		name, bins := p.name, binsOf(p.id)
 		var keys []int
 		for k := range bins {
 			keys = append(keys, k)

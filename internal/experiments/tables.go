@@ -9,8 +9,6 @@ import (
 	"lumos5g/internal/dataset"
 	"lumos5g/internal/env"
 	"lumos5g/internal/features"
-	"lumos5g/internal/ml"
-	"lumos5g/internal/ml/kriging"
 	"lumos5g/internal/sim"
 	"lumos5g/internal/stats"
 )
@@ -59,16 +57,7 @@ func Tab3(l *Lab) *Report {
 // throughput samples (capped pair count for tractability) and returns the
 // fractions significant at alpha.
 func gridPairTests(grids map[geo2][]float64, alpha float64, maxGrids int) (tFrac, lvFrac float64) {
-	keys := make([]geo2, 0, len(grids))
-	for k := range grids {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].Col != keys[b].Col {
-			return keys[a].Col < keys[b].Col
-		}
-		return keys[a].Row < keys[b].Row
-	})
+	keys := sortedGrids(grids)
 	if len(keys) > maxGrids {
 		// Deterministic thinning.
 		step := len(keys) / maxGrids
@@ -113,6 +102,31 @@ func gridMap(d *dataset.Dataset, minSamples int) map[geo2][]float64 {
 	return out
 }
 
+// sortedGrids returns the grid keys ordered by column, then row.
+func sortedGrids(grids map[geo2][]float64) []geo2 {
+	keys := make([]geo2, 0, len(grids))
+	for k := range grids {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a].Col != keys[b].Col {
+			return keys[a].Col < keys[b].Col
+		}
+		return keys[a].Row < keys[b].Row
+	})
+	return keys
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Tab5 reports the pairwise significance analysis (Table 5, Fig 7).
 func Tab5(l *Lab) *Report {
 	r := NewReport("tab5", "Pairwise grid significance tests (Table 5, Fig 7)")
@@ -145,7 +159,9 @@ func factorStats(r *Report, prefix string, d *dataset.Dataset, groupByDirection 
 		grids = map[geo2][]float64{}
 		// Hash the trajectory name into the key's Row space to split
 		// grids by direction without changing downstream types.
-		for traj, part := range splitByTrajectory(d) {
+		parts := splitByTrajectory(d)
+		for _, traj := range sortedKeys(parts) {
+			part := parts[traj]
 			h := 0
 			for _, c := range traj {
 				h = h*31 + int(c)
@@ -155,10 +171,13 @@ func factorStats(r *Report, prefix string, d *dataset.Dataset, groupByDirection 
 			}
 		}
 	}
+	// Grids and directions are visited in sorted order, so the sums
+	// below, and the report, come out the same on every run.
 	var cvs []float64
 	normal := 0
 	total := 0
-	for _, vals := range grids {
+	for _, k := range sortedGrids(grids) {
+		vals := grids[k]
 		if cv := stats.CV(vals); !math.IsNaN(cv) {
 			cvs = append(cvs, cv)
 		}
@@ -174,14 +193,15 @@ func factorStats(r *Report, prefix string, d *dataset.Dataset, groupByDirection 
 	// Spearman: mixed-direction vs grouped-by-direction.
 	var spear float64
 	if groupByDirection {
+		traces := d.GroupByTrace()
 		byDir := map[string][][]float64{}
-		for k, tr := range d.GroupByTrace() {
-			byDir[k.Trajectory] = append(byDir[k.Trajectory], tr)
+		for _, k := range traceOrder(traces) {
+			byDir[k.Trajectory] = append(byDir[k.Trajectory], traces[k])
 		}
 		var sum float64
 		var n int
-		for _, traces := range byDir {
-			if v := stats.MeanPairwiseSpearman(stats.ResampleAll(traces, 100)); !math.IsNaN(v) {
+		for _, dir := range sortedKeys(byDir) {
+			if v := stats.MeanPairwiseSpearman(stats.ResampleAll(byDir[dir], 100)); !math.IsNaN(v) {
 				sum += v
 				n++
 			}
@@ -421,9 +441,10 @@ func A4(l *Lab) *Report {
 		m := features.Build(d, features.GroupL)
 		out["KNN"] = core.EvaluateMatrix(m, core.ModelKNN, sc).MAE
 		out["RF"] = core.EvaluateMatrix(m, core.ModelRF, sc).MAE
-		ok := kriging.New(sc.Kriging)
-		okRes := evalRegressorOnSplit(ok, m, sc)
-		out["OK"] = okRes
+		out["OK"] = math.NaN()
+		if res := core.EvaluateMatrix(m, core.ModelOK, sc); res.Err == nil {
+			out["OK"] = res.MAE
+		}
 		return out
 	}
 	g4 := score(res.Locked4G)
@@ -437,14 +458,4 @@ func A4(l *Lab) *Report {
 		r.Set(name+"/ratio", ratio)
 	}
 	return r
-}
-
-// evalRegressorOnSplit fits any regressor on the 70/30 split of a matrix
-// and returns the test MAE.
-func evalRegressorOnSplit(reg ml.Regressor, m *features.Matrix, sc core.Scale) float64 {
-	trainX, trainY, testX, testY := core.SplitMatrixForTest(m, 0.7, sc.Seed)
-	if err := reg.Fit(trainX, trainY); err != nil {
-		return math.NaN()
-	}
-	return stats.MAE(ml.PredictAll(reg, testX), testY)
 }

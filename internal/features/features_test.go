@@ -281,7 +281,7 @@ func TestBuildSequencesDoNotCrossTraces(t *testing.T) {
 func TestSequenceSplitAndSubsample(t *testing.T) {
 	d := testData(t)
 	set := BuildSequences(d, GroupLM, 8, 1)
-	train, test := set.SplitTrainTest(0.7, 42)
+	train, test := set.SplitTrainTest(42)
 	if len(train.X)+len(test.X) != len(set.X) {
 		t.Fatal("split lost windows")
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"lumos5g/internal/dataset"
+	"lumos5g/internal/rng"
 )
 
 // DefaultSeqLen is the paper's Seq2Seq input/output window (§6.1: "the
@@ -149,39 +150,11 @@ func inclusivePast(d *dataset.Dataset, idxs []int) []pastInfo {
 	return out
 }
 
-// SplitTrainTest splits the sequence set deterministically by window.
-func (s *SequenceSet) SplitTrainTest(trainFrac float64, seed uint64) (train, test *SequenceSet) {
-	n := len(s.X)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	state := seed
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	nTrain := int(float64(n) * trainFrac)
-	train = &SequenceSet{Names: s.Names}
-	test = &SequenceSet{Names: s.Names}
-	for i, idx := range perm {
-		dst := test
-		if i < nTrain {
-			dst = train
-		}
-		dst.X = append(dst.X, s.X[idx])
-		dst.Y = append(dst.Y, s.Y[idx])
-		dst.RecordIdx = append(dst.RecordIdx, s.RecordIdx[idx])
-		dst.LastY = append(dst.LastY, s.LastY[idx])
-	}
-	return train, test
+// SplitTrainTest splits the sequence set 70/30 by window, in the row
+// order of dataset.SplitOrder.
+func (s *SequenceSet) SplitTrainTest(seed uint64) (train, test *SequenceSet) {
+	perm, nTrain := dataset.SplitOrder(len(s.X), seed)
+	return s.pick(perm[:nTrain]), s.pick(perm[nTrain:])
 }
 
 // Subsample returns a deterministic subset of at most n windows (used to
@@ -190,25 +163,18 @@ func (s *SequenceSet) Subsample(n int, seed uint64) *SequenceSet {
 	if n >= len(s.X) {
 		return s
 	}
-	out := &SequenceSet{Names: s.Names}
-	state := seed
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	// Reservoir-free: partial Fisher-Yates over indices.
 	idx := make([]int, len(s.X))
 	for i := range idx {
 		idx[i] = i
 	}
-	for i := 0; i < n; i++ {
-		j := i + int(next()%uint64(len(idx)-i))
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	for _, i := range idx[:n] {
+	rng.New(seed).PartialShuffle(idx, n)
+	return s.pick(idx[:n])
+}
+
+// pick returns the windows at idx, in idx order.
+func (s *SequenceSet) pick(idx []int) *SequenceSet {
+	out := &SequenceSet{Names: s.Names}
+	for _, i := range idx {
 		out.X = append(out.X, s.X[i])
 		out.Y = append(out.Y, s.Y[i])
 		out.RecordIdx = append(out.RecordIdx, s.RecordIdx[i])

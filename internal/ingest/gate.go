@@ -13,13 +13,21 @@ import (
 //  3. §3.1 GPS discard rules: per-fix accuracy worse than
 //     MaxFixGPSErrorMeters is dropped outright, and once a trace's
 //     running mean accuracy exceeds MaxMeanGPSErrorMeters (after
-//     MinTraceSamples fixes) the whole trace is condemned — matching
+//     minTraceSamples fixes) the whole trace is condemned — matching
 //     the paper's "discard data where the average GPS error is high"
 //     pass-level filter, applied incrementally.
 //
 // A rejected sample is counted under exactly one reason label (the
 // first failing layer) and a copy of its trace identity kept in the
 // quarantine ring.
+
+const (
+	// minTraceSamples is how many fixes a trace needs before the §3.1
+	// mean-GPS-error rule can condemn it.
+	minTraceSamples = 5
+	// maxTraces bounds the per-trace GPS bookkeeping.
+	maxTraces = 4096
+)
 
 // traceAcc tracks one trace's running GPS accuracy for the §3.1 mean
 // rule. Condemned latches: once a trace's mean goes bad, later
@@ -61,7 +69,7 @@ func (ing *Ingestor) gate(s *Sample) (dataset.Record, string) {
 
 // traceAdmit folds one fix's accuracy into its trace's running mean
 // and reports whether the trace is still trusted. The trace map is
-// bounded: past MaxTraces distinct traces, new traces skip the mean
+// bounded: past maxTraces distinct traces, new traces skip the mean
 // rule (their per-fix and per-field checks still apply) rather than
 // letting an adversarial client grow server state without limit.
 func (ing *Ingestor) traceAdmit(k dataset.TraceKey, acc float64) bool {
@@ -69,7 +77,7 @@ func (ing *Ingestor) traceAdmit(k dataset.TraceKey, acc float64) bool {
 	defer ing.mu.Unlock()
 	t := ing.traces[k]
 	if t == nil {
-		if len(ing.traces) >= ing.cfg.MaxTraces {
+		if len(ing.traces) >= maxTraces {
 			return true
 		}
 		t = &traceAcc{}
@@ -80,7 +88,7 @@ func (ing *Ingestor) traceAdmit(k dataset.TraceKey, acc float64) bool {
 	}
 	t.n++
 	t.sumAcc += acc
-	if t.n >= ing.cfg.MinTraceSamples && t.sumAcc/float64(t.n) > dataset.MaxMeanGPSErrorMeters {
+	if t.n >= minTraceSamples && t.sumAcc/float64(t.n) > dataset.MaxMeanGPSErrorMeters {
 		t.condemned = true
 		return false
 	}

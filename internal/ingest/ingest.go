@@ -120,11 +120,6 @@ type Config struct {
 	// sample first, so a parked UE cannot dominate the window. 0 (the
 	// default) disables the cap; negative disables it too.
 	CellCap int
-	// MinTraceSamples is how many fixes a trace needs before the
-	// §3.1 mean-GPS-error rule can condemn it. Default 5.
-	MinTraceSamples int
-	// MaxTraces bounds the per-trace GPS bookkeeping. Default 4096.
-	MaxTraces int
 	// Refit configures the retrain loop.
 	Refit RefitConfig
 }
@@ -138,12 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CellCap < 0 {
 		c.CellCap = 0
-	}
-	if c.MinTraceSamples <= 0 {
-		c.MinTraceSamples = 5
-	}
-	if c.MaxTraces <= 0 {
-		c.MaxTraces = 4096
 	}
 	c.Refit = c.Refit.withDefaults()
 	return c

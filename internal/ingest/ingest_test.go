@@ -102,7 +102,7 @@ func TestRejectReasonsClosed(t *testing.T) {
 // MaxMeanGPSErrorMeters is condemned — including all its later samples,
 // even individually accurate ones.
 func TestGateCondemnsBadTrace(t *testing.T) {
-	ing := newTestIngestor(t, Config{MinTraceSamples: 5})
+	ing := newTestIngestor(t, Config{})
 	mk := func(acc float64, sec int) Sample {
 		s := validSample()
 		s.GPSAccuracy = fp(acc)

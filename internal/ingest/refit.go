@@ -36,6 +36,12 @@ type ChainSwapper interface {
 // corrupt/regressing/panicky trainers to drive the rollback paths.
 type TrainFunc func(d *lumos5g.Dataset, groups []lumos5g.FeatureGroup, m lumos5g.Model, sc lumos5g.Scale) (*lumos5g.FallbackChain, error)
 
+// refitGroups are the chain tiers a refit retrains: the groups whose
+// features every gate-passing sample carries, so a window of live
+// samples never poisons training with NaNs the way absent LTE sensors
+// would under GroupLMC.
+var refitGroups = []lumos5g.FeatureGroup{lumos5g.GroupLM, lumos5g.GroupL}
+
 // RefitConfig tunes the retrain loop. Zero values take defaults.
 type RefitConfig struct {
 	// Interval between refit attempts. Default 30s.
@@ -50,13 +56,6 @@ type RefitConfig struct {
 	// rejected if its holdout MAE exceeds the live generation's by
 	// more than this fraction. Default 0.10.
 	GateFrac float64
-	// HoldoutFrac of the window reserved for gating. Default 0.3.
-	HoldoutFrac float64
-	// Groups are the chain tiers to retrain. Default {LM, L}: the
-	// groups whose features every gate-passing sample carries, so a
-	// window of live samples never poisons training with NaNs the way
-	// absent LTE sensors would under GroupLMC.
-	Groups []lumos5g.FeatureGroup
 	// Seed for split and training determinism; the refit sequence
 	// number is folded in so successive refits resample.
 	Seed uint64
@@ -89,12 +88,6 @@ func (c RefitConfig) withDefaults() RefitConfig {
 	}
 	if c.GateFrac <= 0 {
 		c.GateFrac = 0.10
-	}
-	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
-		c.HoldoutFrac = 0.3
-	}
-	if len(c.Groups) == 0 {
-		c.Groups = []lumos5g.FeatureGroup{lumos5g.GroupLM, lumos5g.GroupL}
 	}
 	if c.Train == nil {
 		// Calibrated, so a refit never hot-swaps a chain that serves
@@ -196,7 +189,9 @@ func (ing *Ingestor) RefitNow(sw ChainSwapper) (RefitResult, error) {
 		return res, err
 	}
 
-	train, holdout := snap.SplitTrainTest(1-cfg.HoldoutFrac, cfg.Seed+ing.refitSeq)
+	// The same seeded 70/30 split (dataset.TrainFrac) evaluation and
+	// calibration use: train on one side, gate on the other.
+	train, holdout := snap.SplitTrainTest(cfg.Seed + ing.refitSeq)
 	tt := time.Now()
 	cand, err := ing.trainSafe(train)
 	ing.m.duration.With("train").Observe(time.Since(tt).Seconds())
@@ -260,7 +255,7 @@ func (ing *Ingestor) trainSafe(d *lumos5g.Dataset) (c *lumos5g.FallbackChain, er
 	cfg := ing.cfg.Refit
 	// GDBT is the one family the artifact envelope stores.
 	sc := lumos5g.Scale{Seed: cfg.Seed + ing.refitSeq, Workers: cfg.Workers}
-	return cfg.Train(d, cfg.Groups, lumos5g.ModelGDBT, sc)
+	return cfg.Train(d, refitGroups, lumos5g.ModelGDBT, sc)
 }
 
 // envelope round-trips the candidate through the CRC-framed artifact

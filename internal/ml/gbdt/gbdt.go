@@ -167,7 +167,7 @@ func compileModel(trees []*tree.Tree, nFeat int, base, lr float64) (*compiled.En
 func (m *Model) Compiled() *compiled.Ensemble { return m.comp }
 
 // drawRows refills idx with 0…len(idx)−1 and draws n distinct rows into
-// its head without replacement (partial Fisher–Yates), returning the
+// its head without replacement (rng's PartialShuffle), returning the
 // head; the rest of idx is the out-of-bag tail. n >= len(idx) takes
 // every row in order and draws nothing.
 func drawRows(idx []int, n int, src *rng.Source) []int {
@@ -177,10 +177,7 @@ func drawRows(idx []int, n int, src *rng.Source) []int {
 	if n >= len(idx) {
 		return idx
 	}
-	for i := 0; i < n; i++ {
-		j := i + src.Intn(len(idx)-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
+	src.PartialShuffle(idx, n)
 	return idx[:n]
 }
 

@@ -2,6 +2,7 @@ package gbdt
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lumos5g/internal/ml"
@@ -176,3 +177,28 @@ func TestGBDTNumTrees(t *testing.T) {
 
 // NumTrees returns the number of fitted boosting rounds.
 func (m *Model) NumTrees() int { return len(m.trees) }
+
+// TestDrawRowsPinned pins the rows GBDT bags in its first two rounds at
+// seed 3 (its "gbdt" child stream) and a draw at seed 7 that equals
+// SequenceSet.Subsample's: a change to rng's stream that moves them
+// moves every fitted GBDT.
+func TestDrawRowsPinned(t *testing.T) {
+	idx := make([]int, 20)
+	src := rng.New(3).SplitLabeled("gbdt")
+	for round, want := range [][]int{
+		{4, 2, 10, 19, 16, 3, 9, 13, 1, 11, 12, 5, 0, 8, 17, 14},
+		{0, 11, 10, 4, 7, 13, 3, 19, 14, 2, 5, 1, 8, 9, 15, 16},
+	} {
+		if got := drawRows(idx, 16, src); !slices.Equal(got, want) {
+			t.Fatalf("round %d drew %v, want %v", round, got, want)
+		}
+	}
+	if got, want := drawRows(idx, 8, rng.New(7)), []int{7, 15, 2, 14, 3, 5, 18, 4}; !slices.Equal(got, want) {
+		t.Fatalf("seed 7 drew %v, want %v", got, want)
+	}
+	// Asking for every row takes them in order and draws nothing.
+	a, b := rng.New(9), rng.New(9)
+	if got := drawRows(idx, len(idx), a); got[0] != 0 || got[19] != 19 || a.Uint64() != b.Uint64() {
+		t.Fatalf("full draw %v advanced the source or reordered rows", got)
+	}
+}

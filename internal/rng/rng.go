@@ -137,6 +137,17 @@ func (s *Source) Shuffle(p []int) {
 	}
 }
 
+// PartialShuffle draws k distinct elements of p into p[:k] without
+// replacement (a forward partial Fisher-Yates: position i swaps with a
+// uniform position in [i, len(p))). The rest of p is what the draw left
+// behind. k must not exceed len(p).
+func (s *Source) PartialShuffle(p []int, k int) {
+	for i := 0; i < k; i++ {
+		j := i + s.Intn(len(p)-i)
+		p[i], p[j] = p[j], p[i]
+	}
+}
+
 // State is a serialisable snapshot of a Source — what a long-run
 // checkpoint persists so an interrupted job resumes with an identical
 // random stream.

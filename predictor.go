@@ -8,11 +8,6 @@ import (
 	"lumos5g/internal/features"
 	"lumos5g/internal/ml"
 	"lumos5g/internal/ml/compiled"
-	"lumos5g/internal/ml/forest"
-	"lumos5g/internal/ml/gbdt"
-	"lumos5g/internal/ml/knn"
-	"lumos5g/internal/ml/kriging"
-	"lumos5g/internal/ml/nn"
 )
 
 // Predictor is a trained throughput model bound to a feature group — the
@@ -47,7 +42,7 @@ func Train(d *Dataset, g FeatureGroup, m Model, sc Scale) (*Predictor, error) {
 	if len(mat.X) == 0 {
 		return nil, fmt.Errorf("lumos5g: %w for %s", ErrNoUsableRows, g)
 	}
-	reg, err := newRegressor(m, sc)
+	reg, err := core.NewRegressor(m, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -57,57 +52,25 @@ func Train(d *Dataset, g FeatureGroup, m Model, sc Scale) (*Predictor, error) {
 	return &Predictor{group: g, model: m, reg: reg, names: mat.Names}, nil
 }
 
-// newRegressor constructs the unfitted model family for a Scale.
-func newRegressor(m Model, sc Scale) (ml.Regressor, error) {
-	switch m {
-	case core.ModelKNN:
-		return knn.New(sc.KNN), nil
-	case core.ModelRF:
-		cfg := sc.RF
-		cfg.Seed = sc.Seed
-		return forest.New(cfg), nil
-	case core.ModelOK:
-		return kriging.New(sc.Kriging), nil
-	case core.ModelGDBT:
-		cfg := sc.GBDT
-		cfg.Seed = sc.Seed
-		return gbdt.New(cfg), nil
-	case core.ModelLSTM:
-		cfg := sc.Seq2Seq
-		cfg.Seed = sc.Seed
-		return nn.NewTabularLSTM(cfg), nil
-	case core.ModelSeq2Seq:
-		cfg := sc.Seq2Seq
-		cfg.Seed = sc.Seed
-		return nn.NewTabularSeq2Seq(cfg), nil
-	default:
-		return nil, fmt.Errorf("lumos5g: Train supports KNN, RF, OK, GDBT, LSTM and Seq2Seq, not %s", m)
-	}
-}
-
-// TrainCalibrated fits a model on the deterministic train side of the
-// evaluation split (core's seeded 70/30 discipline, the same one
-// Evaluate and the experiments lab use) and conformally calibrates its
-// residual offsets on the held-out side, so PredictInterval serves
-// bands with honest finite-sample coverage. The point model sees only
-// TrainFrac of the data — that is the price of an uncontaminated
-// calibration set. When the holdout is too small to calibrate, the
-// predictor falls back to a full-data fit with no offsets (degenerate
-// intervals) rather than failing.
+// TrainCalibrated fits a model on the train side of the evaluation
+// split (core.SplitMatrix, the seeded 70/30 split Evaluate and the
+// experiments lab score on) and conformally calibrates its residual
+// offsets on the held-out side, so PredictInterval serves bands with
+// honest finite-sample coverage. The point model sees only
+// dataset.TrainFrac of the data — that is the price of an
+// uncontaminated calibration set. When the holdout is too small to
+// calibrate, the predictor falls back to a full-data fit with no
+// offsets (degenerate intervals) rather than failing.
 func TrainCalibrated(d *Dataset, g FeatureGroup, m Model, sc Scale) (*Predictor, error) {
 	mat := features.Build(d, g)
 	if len(mat.X) == 0 {
 		return nil, fmt.Errorf("lumos5g: %w for %s", ErrNoUsableRows, g)
 	}
-	frac := sc.TrainFrac
-	if frac <= 0 || frac >= 1 {
-		frac = 0.7
-	}
-	trainX, trainY, calX, calY := core.SplitMatrixForTest(mat, frac, sc.Seed)
+	trainX, trainY, calX, calY := core.SplitMatrix(mat, sc.Seed)
 	if len(trainY) < 2 || len(calY) < ml.MinCalibration {
 		return Train(d, g, m, sc)
 	}
-	reg, err := newRegressor(m, sc)
+	reg, err := core.NewRegressor(m, sc)
 	if err != nil {
 		return nil, err
 	}
