@@ -77,9 +77,13 @@ race-abr:
 # The serial-vs-parallel parity audit: byte-identical campaigns and
 # models across worker counts, and batch predictions equal to the
 # per-row interpreted ones (batches run on one goroutine, so they do not
-# vary by worker count).
+# vary by worker count) at every layer a batch crosses: the chain (root
+# package), the engine (TestPredictBatchMatchesPredict), the wire
+# decoders (FuzzDecodeBatch's seed corpus against the encoding/json
+# oracle) and the mapserver endpoint. The regex also selects the batch
+# alloc pins of those layers, which skip under -race.
 parity:
-	$(GO) test -race -run 'Parallel|Parity|Refit|Batch|Split|CheckpointEncode' ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/mapserver/... .
+	$(GO) test -race -run 'Parallel|Parity|Refit|Batch|Split|CheckpointEncode' ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/engine/... ./internal/wire/... ./internal/mapserver/... .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

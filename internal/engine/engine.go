@@ -1,9 +1,11 @@
 // Package engine is the transport-agnostic prediction core of the
 // serving stack: one immutable (throughput map, fallback chain, prior)
 // triple that answers quantized prediction queries, with no knowledge of
-// HTTP, JSON, caches or metrics. The HTTP layer (internal/mapserver)
-// renders its answers onto the wire; the fleet router (internal/fleet)
-// reuses its query quantization as the shard partition key.
+// HTTP, JSON, caches or metrics. The engine answers in wire.Result, the
+// one answer record of the serving stack, and the transport
+// (internal/mapserver) renders that record as a JSON body or a binary
+// frame. The fleet router (internal/fleet) reuses the engine's query
+// quantization as the shard partition key.
 //
 // An Engine is one model generation. Hot swaps replace the whole Engine
 // (WithChain derives a new generation sharing the map and prior), which
@@ -17,57 +19,16 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"lumos5g"
 	"lumos5g/internal/features"
 	"lumos5g/internal/geo"
+	"lumos5g/internal/wire"
 )
 
-// Prediction is one answer with its serving attribution — the
-// transport-agnostic form of the /predict response body.
-type Prediction struct {
-	// Mbps is the predicted downlink throughput.
-	Mbps float64
-	// Class is the §5.2 throughput class of Mbps ("low"/"medium"/"high").
-	Class string
-	// Source names the serving tier's feature group ("L+M+C", "L", ...),
-	// the chain's last resort, or map-cell / map-mean when the map itself
-	// answered.
-	Source string
-	// Tier is the serving tier index; -1 when the map answered.
-	Tier int
-	// Degraded reports that the preferred tier did not serve.
-	Degraded bool
-	// Missing lists the unusable features that demoted the query. The
-	// slice may be shared across predictions and rows: it must not be
-	// modified.
-	Missing []string
-	// P10 and P90 bound the nominal 80% prediction band around Mbps
-	// (the p50). Every answer carries the band, always with
-	// 0 <= P10 <= Mbps <= P90; whether it goes on the wire is the
-	// transport's negotiation.
-	P10 float64
-	P90 float64
-	// HasInterval reports a calibrated band; false means the triple is
-	// degenerate (P10 = Mbps = P90) because the serving tier — or the
-	// map itself — carries no conformal calibration.
-	HasInterval bool
-	// Walk is how long the model walk took (zero for map-only answers);
-	// the serving layer feeds it to its latency instruments.
-	Walk time.Duration
-}
-
-// Finite reports whether the prediction's value has a JSON encoding at
-// all: encoding/json has no representation for NaN or ±Inf, and the
-// chain's "never returns them" guarantee does not survive hostile model
-// artifacts or degenerate maps, so the serving path checks instead of
-// trusting.
-func (p Prediction) Finite() bool {
-	return !math.IsNaN(p.Mbps) && !math.IsInf(p.Mbps, 0) &&
-		!math.IsNaN(p.P10) && !math.IsInf(p.P10, 0) &&
-		!math.IsNaN(p.P90) && !math.IsInf(p.P90, 0)
-}
+// Prediction is the engine's answer record under the name the
+// benchmark module (e2ebench) uses for it.
+type Prediction = wire.Result
 
 // Engine is one immutable model generation: the published throughput
 // map, the (possibly nil) fallback chain, and the map-wide prior that
@@ -147,8 +108,8 @@ func QueryOf(px geo.Pixel, speed, bearing *float64) features.Query {
 // MapOnly answers a prediction from the throughput map alone —
 // model-less degraded serving (Fig 3c's whole premise). The map carries
 // no calibration, so the band is the degenerate zero-width triple.
-func (e *Engine) MapOnly(px geo.Pixel) Prediction {
-	p := Prediction{Tier: -1, Degraded: true}
+func (e *Engine) MapOnly(px geo.Pixel) wire.Result {
+	p := wire.Result{Tier: -1, Degraded: true}
 	// A degenerate cell (non-finite mean) falls through to the map-wide
 	// prior rather than putting an unencodable value on the wire.
 	if cell := e.tm.Lookup(px.X, px.Y); cell != nil && !math.IsNaN(cell.MeanMbps) && !math.IsInf(cell.MeanMbps, 0) {
@@ -162,8 +123,8 @@ func (e *Engine) MapOnly(px geo.Pixel) Prediction {
 }
 
 // fromChain converts one fallback-chain answer.
-func fromChain(p lumos5g.ChainPrediction, walk time.Duration) Prediction {
-	return Prediction{
+func fromChain(p lumos5g.ChainPrediction) wire.Result {
+	return wire.Result{
 		Mbps:        p.Mbps,
 		Class:       p.Class.String(),
 		Source:      p.Source,
@@ -173,7 +134,6 @@ func fromChain(p lumos5g.ChainPrediction, walk time.Duration) Prediction {
 		P10:         p.P10,
 		P90:         p.P90,
 		HasInterval: p.HasInterval,
-		Walk:        walk,
 	}
 }
 
@@ -181,23 +141,22 @@ func fromChain(p lumos5g.ChainPrediction, walk time.Duration) Prediction {
 // when a model serves, the map itself otherwise. speed and bearing are
 // optional sensors (nil = absent; the chain demotes the query instead
 // of rejecting it).
-func (e *Engine) PredictInterval(px geo.Pixel, speed, bearing *float64) Prediction {
+func (e *Engine) PredictInterval(px geo.Pixel, speed, bearing *float64) wire.Result {
 	if e.chain == nil {
 		return e.MapOnly(px)
 	}
 	qs := [1]features.Query{QueryOf(px, speed, bearing)}
 	var out [1]lumos5g.ChainPrediction
-	start := time.Now()
 	e.chain.PredictQueries(qs[:], out[:])
-	return fromChain(out[0], time.Since(start))
+	return fromChain(out[0])
 }
 
 // PredictIntervalBatch answers many queries in one model pass; element
 // i equals PredictInterval of query i exactly. speeds and bearings run
 // parallel to pxs (nil entries = absent sensors); the slices may
 // themselves be nil when no query carries that sensor.
-func (e *Engine) PredictIntervalBatch(pxs []geo.Pixel, speeds, bearings []*float64) []Prediction {
-	out := make([]Prediction, len(pxs))
+func (e *Engine) PredictIntervalBatch(pxs []geo.Pixel, speeds, bearings []*float64) []wire.Result {
+	out := make([]wire.Result, len(pxs))
 	if e.chain == nil {
 		for i, px := range pxs {
 			out[i] = e.MapOnly(px)
@@ -219,7 +178,7 @@ func (e *Engine) PredictIntervalBatch(pxs []geo.Pixel, speeds, bearings []*float
 	}
 	e.chain.PredictQueries(qs, cps)
 	for i := range cps {
-		out[i] = fromChain(cps[i], 0)
+		out[i] = fromChain(cps[i])
 	}
 	sc.qs, sc.cps = qs, cps
 	batchPool.Put(sc)

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
+	"lumos5g"
 	"lumos5g/internal/wire"
 )
 
@@ -262,5 +264,86 @@ func TestPredictBatchModelless(t *testing.T) {
 	}
 	if got[1].Tier != -1 || got[1].Source != "map-mean" {
 		t.Fatalf("off-map query should answer from the map mean: %+v", got[1])
+	}
+}
+
+// lmAnswers is n calibrated answers from an L+M tier, as the engine
+// hands them to finishBatch. Every row is in the medium class, so the
+// frame's string table is the same at any n.
+func lmAnswers(n int) []wire.Result {
+	rs := make([]wire.Result, n)
+	for i := range rs {
+		mbps := 400 + float64(i)/4
+		rs[i] = wire.Result{Mbps: mbps, Class: lumos5g.ClassOf(mbps).String(), Source: "L+M",
+			P10: mbps / 2, P90: 2 * mbps, HasInterval: true}
+	}
+	return rs
+}
+
+// TestFinishBatchNonFinite: one row whose band is not finite makes the
+// whole batch a 500 in every negotiated form, the point forms included
+// (they never render the band), exactly as /predict answers the same
+// row: one lumos_predict_nonfinite_total count per refused batch and no
+// tier counted as served.
+func TestFinishBatchNonFinite(t *testing.T) {
+	s, err := NewWithChain(&lumos5g.ThroughputMap{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := lmAnswers(3)
+	rows[1].P90 = math.Inf(1)
+	for _, form := range []wire.Form{{}, {Intervals: true}, {Binary: true}, {Binary: true, Intervals: true}} {
+		before := s.m.nonFinite.Value()
+		rr := httptest.NewRecorder()
+		s.finishBatch(rr, rows, form)
+		if rr.Code != http.StatusInternalServerError {
+			t.Fatalf("%+v: want 500, got %d %s", form, rr.Code, rr.Body)
+		}
+		if n := s.m.nonFinite.Value() - before; n != 1 {
+			t.Fatalf("%+v: nonfinite counted %d times", form, n)
+		}
+	}
+	if n := s.m.tierServed.Total(map[string]string{"tier": "L+M"}); n != 0 {
+		t.Fatalf("refused batches counted %d rows as served", n)
+	}
+}
+
+// discardWriter is a reusable ResponseWriter that keeps only the status,
+// so an allocation count over finishBatch is the handler's own.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestFinishBatchBinaryAllocs pins the binary batch's allocations: the
+// engine's answers go straight into the frame encoder, whose per-batch
+// scratch (string table, index columns, missing-list runs) is all that
+// allocates; the staging buffer is pooled. The count is the same at 16
+// and 256 rows, for either frame version.
+func TestFinishBatchBinaryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool randomly drops Puts, so the staging buffer is reallocated")
+	}
+	s, err := NewWithChain(&lumos5g.ThroughputMap{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 8
+	w := &discardWriter{h: http.Header{}}
+	for _, form := range []wire.Form{{Binary: true}, {Binary: true, Intervals: true}} {
+		for _, n := range []int{16, 256} {
+			rows := lmAnswers(n)
+			got := testing.AllocsPerRun(100, func() { s.finishBatch(w, rows, form) })
+			if w.code != http.StatusOK {
+				t.Fatalf("%+v, %d rows: status %d", form, n, w.code)
+			}
+			if got != want {
+				t.Errorf("%+v, %d rows: %v allocs per batch, want %d", form, n, got, want)
+			}
+		}
 	}
 }

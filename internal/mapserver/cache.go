@@ -2,11 +2,11 @@ package mapserver
 
 import (
 	"container/list"
-	"math"
 	"sync"
 
 	"lumos5g/internal/engine"
 	"lumos5g/internal/geo"
+	"lumos5g/internal/wire"
 )
 
 // The prediction cache memoises /predict answers keyed on the quantized
@@ -73,36 +73,17 @@ func (o cacheOutcome) String() string {
 	}
 }
 
-// band is the uncertainty triple around a response's Mbps (the p50):
-// the conformal p10/p90 bounds and whether the serving tier carried a
-// real calibration (has=false means the triple is degenerate at Mbps).
-type band struct {
-	p10, p90 float64
-	has      bool
-}
-
-// bandOf extracts the band from an interval-carrying engine answer.
-func bandOf(p engine.Prediction) band {
-	return band{p10: p.P10, p90: p.P90, has: p.HasInterval}
-}
-
-// bandSafe reports whether the band has a JSON encoding (see wireSafe).
-func bandSafe(bd band) bool {
-	return !math.IsNaN(bd.p10) && !math.IsInf(bd.p10, 0) &&
-		!math.IsNaN(bd.p90) && !math.IsInf(bd.p90, 0)
-}
-
 // cacheEntry is one memoised prediction. One model walk fills both wire
 // forms — the interval-off body (bit-identical to the pre-interval
 // format) and the interval body — so a key serves either negotiation
 // from the same entry and the cache stays keyed on the quantized query
-// alone. ready is closed by the leader after resp/body/ibody are
+// alone. ready is closed by the leader after res/body/ibody are
 // written; a nil body after ready means the leader failed mid-compute
-// (it panicked, or produced a wire-unsafe value) and the reader must
+// (it panicked, or produced a non-finite answer) and the reader must
 // compute for itself.
 type cacheEntry struct {
 	ready chan struct{}
-	resp  predictResponse
+	res   wire.Result
 	body  []byte // marshalled point JSON wire form, newline-terminated
 	ibody []byte // marshalled interval JSON wire form, newline-terminated
 }
@@ -154,20 +135,20 @@ func (c *predCache) dropEntry(key predKey, el *list.Element) {
 	c.mu.Unlock()
 }
 
-// computer produces one prediction (point form plus band) for a cache
-// miss. The hot path passes the handler's pooled predictCall so a
-// request allocates no per-call closure.
+// computer produces one prediction for a cache miss. The hot path
+// passes the handler's pooled predictCall so a request allocates no
+// per-call closure.
 type computer interface {
-	computePredict() (predictResponse, band)
+	computePredict() wire.Result
 }
 
-// run returns the response and wire body for key, computing and
-// inserting it (once, whatever the concurrency) on a miss. wantIval
-// selects which of the entry's two bodies is returned; the leader
-// renders both, so the flavor a key was first asked in never decides
-// what later requests can negotiate. A nil body (outcomeInvalid) means
-// the computed response has no JSON wire form and must not be served.
-func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictResponse, []byte, cacheOutcome) {
+// run returns the answer and wire body for key, computing and inserting
+// it (once, whatever the concurrency) on a miss. wantIval selects which
+// of the entry's two bodies is returned; the leader renders both, so the
+// flavor a key was first asked in never decides what later requests can
+// negotiate. A nil body (outcomeInvalid) means the computed answer is
+// not finite and must not be served.
+func (c *predCache) run(key predKey, comp computer, wantIval bool) (wire.Result, []byte, cacheOutcome) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -176,17 +157,17 @@ func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictRespo
 		<-e.ready
 		if e.body != nil {
 			if wantIval {
-				return e.resp, e.ibody, outcomeHit
+				return e.res, e.ibody, outcomeHit
 			}
-			return e.resp, e.body, outcomeHit
+			return e.res, e.body, outcomeHit
 		}
 		// The leader abandoned the entry; answer uncached.
-		resp, bd := comp.computePredict()
-		body := marshalPredict(resp, bd, wantIval)
+		res := comp.computePredict()
+		body := marshalPredict(res, wantIval)
 		if body == nil {
-			return resp, nil, outcomeInvalid
+			return res, nil, outcomeInvalid
 		}
-		return resp, body, outcomeUncached
+		return res, body, outcomeUncached
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	el := c.ll.PushFront(&lruItem{key: key, e: e})
@@ -213,12 +194,14 @@ func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictRespo
 			}
 		}
 	}()
-	resp, bd := comp.computePredict()
-	body := marshalPredict(resp, bd, false)
-	ibody := marshalPredict(resp, bd, true)
+	res := comp.computePredict()
+	// One rule (wire.Result.Finite) decides both flavors, so the two
+	// bodies are nil together.
+	body := marshalPredict(res, false)
+	ibody := marshalPredict(res, true)
 	done = true
-	if body == nil || ibody == nil {
-		// Wire-unsafe value: never publish it. Drop the entry so the key
+	if body == nil {
+		// Non-finite answer: never publish it. Drop the entry so the key
 		// stays computable, unblock waiters (they recompute for
 		// themselves), and report the abandonment.
 		c.dropEntry(key, el)
@@ -226,43 +209,34 @@ func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictRespo
 		if c.onAbandon != nil {
 			c.onAbandon()
 		}
-		return resp, nil, outcomeInvalid
+		return res, nil, outcomeInvalid
 	}
-	e.resp = resp
+	e.res = res
 	e.body = body
 	e.ibody = ibody
 	close(e.ready)
 	if wantIval {
-		return e.resp, e.ibody, outcomeMiss
+		return e.res, e.ibody, outcomeMiss
 	}
-	return e.resp, e.body, outcomeMiss
-}
-
-// wireSafe reports whether a response can be encoded to JSON at all:
-// encoding/json has no representation for NaN or ±Inf, and the chain's
-// "never returns them" guarantee does not survive hostile model
-// artifacts or degenerate maps, so the serving path checks instead of
-// trusting.
-func wireSafe(resp predictResponse) bool {
-	return !math.IsNaN(resp.Mbps) && !math.IsInf(resp.Mbps, 0)
+	return e.res, e.body, outcomeMiss
 }
 
 // marshalPredict renders one /predict body in the negotiated flavor
 // exactly as json.Encoder would (trailing newline included), so cached
 // and uncached responses are byte-identical. Returns nil — never
-// panics — when the response, or with ival its band, has no JSON
-// encoding; the caller turns that into a clean 500. Each body gets a
-// fresh buffer sized for its flavor (128 B point, 160 B interval): the
-// cache memoises it, so it must own its bytes, and a hit never pays the
-// encoding again.
-func marshalPredict(resp predictResponse, bd band, ival bool) []byte {
-	if !wireSafe(resp) || ival && !bandSafe(bd) {
+// panics — when the answer is not finite (wire.Result.Finite), whichever
+// flavor was asked for; the caller turns that into a clean 500. Each
+// body gets a fresh buffer sized for its flavor (128 B point, 160 B
+// interval): the cache memoises it, so it must own its bytes, and a hit
+// never pays the encoding again.
+func marshalPredict(res wire.Result, ival bool) []byte {
+	if !res.Finite() {
 		return nil
 	}
 	size := 128
 	if ival {
 		size = 160
 	}
-	b := appendPredict(make([]byte, 0, size), resp, bd, ival)
+	b := appendPredict(make([]byte, 0, size), res, ival)
 	return append(b, '\n')
 }

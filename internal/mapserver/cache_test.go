@@ -13,20 +13,12 @@ import (
 
 	"lumos5g"
 	"lumos5g/internal/geo"
+	"lumos5g/internal/wire"
 )
 
-// computeFunc adapts a plain point-form function to the cache's
-// computer seam with the degenerate band.
-type computeFunc func() predictResponse
-
-func (f computeFunc) computePredict() (predictResponse, band) {
-	resp := f()
-	return resp, band{p10: resp.Mbps, p90: resp.Mbps}
-}
-
 // getOrCompute is the closure-taking form of run (point bodies only).
-func (c *predCache) getOrCompute(key predKey, compute func() predictResponse) (predictResponse, []byte, cacheOutcome) {
-	return c.run(key, computeFunc(compute), false)
+func (c *predCache) getOrCompute(key predKey, compute func() wire.Result) (wire.Result, []byte, cacheOutcome) {
+	return c.run(key, computerFunc(compute), false)
 }
 
 func TestQuantizeKey(t *testing.T) {
@@ -114,17 +106,17 @@ func TestPredCacheLRUAndOutcomes(t *testing.T) {
 	var evictions, abandoned atomic.Uint64
 	c := newPredCache(2, func() { evictions.Add(1) }, func() { abandoned.Add(1) })
 	mk := func(i int) predKey { return predKey{Col: int32(i)} }
-	val := func(i int) func() predictResponse {
-		return func() predictResponse { return predictResponse{Mbps: float64(i)} }
+	val := func(i int) func() wire.Result {
+		return func() wire.Result { return wire.Result{Mbps: float64(i)} }
 	}
 	if r, _, o := c.getOrCompute(mk(1), val(1)); r.Mbps != 1 || o != outcomeMiss {
 		t.Fatalf("miss compute: %+v %v", r, o)
 	}
 	c.getOrCompute(mk(2), val(2))
 	// Hit on 1 refreshes its recency, so inserting 3 must evict 2.
-	if _, _, o := c.getOrCompute(mk(1), func() predictResponse {
+	if _, _, o := c.getOrCompute(mk(1), func() wire.Result {
 		t.Error("hit must not compute")
-		return predictResponse{}
+		return wire.Result{}
 	}); o != outcomeHit {
 		t.Fatalf("outcome: %v", o)
 	}
@@ -133,15 +125,15 @@ func TestPredCacheLRUAndOutcomes(t *testing.T) {
 		t.Fatalf("evictions after first overflow: %d", got)
 	}
 	recomputed := false
-	c.getOrCompute(mk(2), func() predictResponse { recomputed = true; return predictResponse{} })
+	c.getOrCompute(mk(2), func() wire.Result { recomputed = true; return wire.Result{} })
 	if !recomputed {
 		t.Fatal("LRU evicted the wrong entry (2 should have been dropped)")
 	}
 	// Re-inserting 2 pushed the store over capacity again, evicting the
 	// then-oldest entry (1); 3 must have survived as the other resident.
-	c.getOrCompute(mk(3), func() predictResponse {
+	c.getOrCompute(mk(3), func() wire.Result {
 		t.Error("3 must have survived the eviction")
-		return predictResponse{}
+		return wire.Result{}
 	})
 	if e, a := evictions.Load(), abandoned.Load(); e != 2 || a != 0 {
 		t.Fatalf("evictions %d abandoned %d", e, a)
@@ -170,10 +162,10 @@ func TestPredCacheSingleflight(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		var o cacheOutcome
-		_, leaderBody, o = c.getOrCompute(key, func() predictResponse {
+		_, leaderBody, o = c.getOrCompute(key, func() wire.Result {
 			close(started)
 			<-release
-			return predictResponse{Mbps: 42, Source: "L"}
+			return wire.Result{Mbps: 42, Source: "L"}
 		})
 		if o != outcomeMiss {
 			t.Errorf("leader outcome: %v", o)
@@ -189,9 +181,9 @@ func TestPredCacheSingleflight(t *testing.T) {
 		fwg.Add(1)
 		go func(i int) {
 			defer fwg.Done()
-			_, bodies[i], outcomes[i] = c.getOrCompute(key, func() predictResponse {
+			_, bodies[i], outcomes[i] = c.getOrCompute(key, func() wire.Result {
 				t.Error("follower compute ran — singleflight broken")
-				return predictResponse{}
+				return wire.Result{}
 			})
 		}(i)
 	}
@@ -214,7 +206,7 @@ func TestPredCacheLeaderPanicRecovers(t *testing.T) {
 	key := predKey{Col: 9}
 	func() {
 		defer func() { _ = recover() }()
-		c.getOrCompute(key, func() predictResponse { panic("model exploded") })
+		c.getOrCompute(key, func() wire.Result { panic("model exploded") })
 	}()
 	if c.size() != 0 {
 		t.Fatal("abandoned entry must be removed")
@@ -223,7 +215,7 @@ func TestPredCacheLeaderPanicRecovers(t *testing.T) {
 		t.Fatalf("abandoned hook: %d", abandoned.Load())
 	}
 	// The key is computable again — no wedged pending entry.
-	r, body, o := c.getOrCompute(key, func() predictResponse { return predictResponse{Mbps: 7} })
+	r, body, o := c.getOrCompute(key, func() wire.Result { return wire.Result{Mbps: 7} })
 	if r.Mbps != 7 || len(body) == 0 || o != outcomeMiss {
 		t.Fatalf("recompute after panic: %+v %q %v", r, body, o)
 	}
@@ -232,39 +224,48 @@ func TestPredCacheLeaderPanicRecovers(t *testing.T) {
 // TestPredCacheNonFiniteLeader pins the non-panicking marshal contract:
 // a leader whose compute produces NaN/Inf must not poison the cache —
 // the entry is dropped, the outcome is invalid (nil body), followers
-// recompute uncached, and the key stays computable afterwards.
+// recompute uncached, and the key stays computable afterwards. A finite
+// Mbps with a non-finite band is just as unservable, even for a point
+// request that never renders the band: P90 overflows to +Inf when the
+// conformal offset added to a finite mid exceeds MaxFloat64.
 func TestPredCacheNonFiniteLeader(t *testing.T) {
-	var abandoned atomic.Uint64
-	c := newPredCache(8, nil, func() { abandoned.Add(1) })
-	key := predKey{Col: 11}
-	_, body, o := c.getOrCompute(key, func() predictResponse {
-		return predictResponse{Mbps: math.NaN()}
-	})
-	if body != nil || o != outcomeInvalid {
-		t.Fatalf("NaN leader: body %q outcome %v", body, o)
-	}
-	if c.size() != 0 {
-		t.Fatal("invalid entry must not be cached")
-	}
-	if abandoned.Load() != 1 {
-		t.Fatalf("abandoned hook: %d", abandoned.Load())
-	}
-	r, body, o := c.getOrCompute(key, func() predictResponse { return predictResponse{Mbps: 5} })
-	if r.Mbps != 5 || body == nil || o != outcomeMiss {
-		t.Fatalf("recompute after invalid: %+v %q %v", r, body, o)
+	for _, bad := range []wire.Result{
+		{Mbps: math.NaN()},
+		{Mbps: 500, P10: 400, P90: math.Inf(1)},
+	} {
+		var abandoned atomic.Uint64
+		c := newPredCache(8, nil, func() { abandoned.Add(1) })
+		key := predKey{Col: 11}
+		_, body, o := c.getOrCompute(key, func() wire.Result { return bad })
+		if body != nil || o != outcomeInvalid {
+			t.Fatalf("leader %+v: body %q outcome %v", bad, body, o)
+		}
+		if c.size() != 0 {
+			t.Fatalf("leader %+v: invalid entry must not be cached", bad)
+		}
+		if abandoned.Load() != 1 {
+			t.Fatalf("leader %+v: abandoned hook: %d", bad, abandoned.Load())
+		}
+		r, body, o := c.getOrCompute(key, func() wire.Result { return wire.Result{Mbps: 5} })
+		if r.Mbps != 5 || body == nil || o != outcomeMiss {
+			t.Fatalf("recompute after invalid: %+v %q %v", r, body, o)
+		}
 	}
 }
 
 // TestMarshalResponseNonFinite is the regression for the panic that
 // lived here: marshalPredict must return nil — not panic — for every
-// non-finite Mbps.
+// non-finite Mbps, and for a non-finite band in the point flavor too.
 func TestMarshalResponseNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if b := marshalPredict(predictResponse{Mbps: v}, band{}, false); b != nil {
+		if b := marshalPredict(wire.Result{Mbps: v}, false); b != nil {
 			t.Fatalf("Mbps=%v must have no wire form, got %q", v, b)
 		}
+		if b := marshalPredict(wire.Result{Mbps: 12, P10: 12, P90: v}, false); b != nil {
+			t.Fatalf("P90=%v must have no point wire form, got %q", v, b)
+		}
 	}
-	if b := marshalPredict(predictResponse{Mbps: 12}, band{}, false); b == nil || b[len(b)-1] != '\n' {
+	if b := marshalPredict(wire.Result{Mbps: 12, P10: 12, P90: 12}, false); b == nil || b[len(b)-1] != '\n' {
 		t.Fatalf("finite response must marshal newline-terminated: %q", b)
 	}
 }

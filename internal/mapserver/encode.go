@@ -5,16 +5,19 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"lumos5g/internal/wire"
 )
 
-// Hand-rolled JSON rendering of the /predict wire form. The byte output
-// is pinned — by TestAppendPredictResponseMatchesStdlib and
+// Hand-rolled JSON rendering of the /predict wire form straight from
+// the engine's wire.Result. The byte output is pinned — by
+// TestAppendPredictResponseMatchesStdlib and
 // TestAppendPredictIntervalResponseMatchesStdlib — to be exactly what
-// encoding/json produces for the point and interval response structs
-// (default HTML escaping included), so cached bodies, uncached
-// recomputes and batch rows stay byte-identical with the historical
-// wire format while skipping the reflection walk and per-call scratch
-// of json.Marshal.
+// encoding/json produces for the point and interval reference structs
+// of those tests (default HTML escaping included), so cached bodies,
+// uncached recomputes and batch rows stay byte-identical with the
+// historical wire format while skipping the reflection walk and
+// per-call scratch of json.Marshal.
 
 // jsonSafe marks the ASCII bytes encoding/json copies through verbatim
 // inside a string (its htmlSafeSet): printable, minus the JSON escapes
@@ -83,7 +86,8 @@ func appendJSONString(dst []byte, s string) []byte {
 
 // appendJSONFloat appends a finite float exactly as encoding/json does:
 // shortest 'f' form in [1e-6, 1e21), otherwise 'e' with the exponent's
-// leading zero stripped. The caller guarantees finiteness (wireSafe).
+// leading zero stripped. The caller guarantees finiteness
+// (wire.Result.Finite).
 func appendJSONFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
 	format := byte('f')
@@ -100,27 +104,28 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendPredict appends one prediction object, byte-identical to
-// json.Marshal of predictResponse (field order is the struct's). With
-// ival it renders the interval wire form instead: the bd band spliced
-// in as p10/p50/p90 right after mbps, with p50 repeating mbps so
+// appendPredict appends one prediction object: mbps, class, group,
+// source, tier, degraded and the missing list when non-empty, in that
+// order, with "group" repeating Source for clients of the pre-fallback
+// API. With ival it renders the interval wire form instead: the band
+// spliced in as p10/p50/p90 right after mbps, with p50 repeating mbps so
 // clients reading only the triple see a complete quantile set.
 // Interval-off bodies keep the historical field set byte for byte.
-func appendPredict(dst []byte, r predictResponse, bd band, ival bool) []byte {
+func appendPredict(dst []byte, r wire.Result, ival bool) []byte {
 	dst = append(dst, `{"mbps":`...)
 	dst = appendJSONFloat(dst, r.Mbps)
 	if ival {
 		dst = append(dst, `,"p10":`...)
-		dst = appendJSONFloat(dst, bd.p10)
+		dst = appendJSONFloat(dst, r.P10)
 		dst = append(dst, `,"p50":`...)
 		dst = appendJSONFloat(dst, r.Mbps)
 		dst = append(dst, `,"p90":`...)
-		dst = appendJSONFloat(dst, bd.p90)
+		dst = appendJSONFloat(dst, r.P90)
 	}
 	dst = append(dst, `,"class":`...)
 	dst = appendJSONString(dst, r.Class)
 	dst = append(dst, `,"group":`...)
-	dst = appendJSONString(dst, r.Group)
+	dst = appendJSONString(dst, r.Source)
 	dst = append(dst, `,"source":`...)
 	dst = appendJSONString(dst, r.Source)
 	dst = append(dst, `,"tier":`...)

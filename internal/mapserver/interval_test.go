@@ -30,22 +30,13 @@ type predictIntervalResponse struct {
 	Missing  []string `json:"missing,omitempty"`
 }
 
-// intervalResponse splices a band into the point wire form.
-func intervalResponse(r predictResponse, bd band) predictIntervalResponse {
-	return predictIntervalResponse{
-		Mbps: r.Mbps, P10: bd.p10, P50: r.Mbps, P90: bd.p90,
-		Class: r.Class, Group: r.Group, Source: r.Source,
-		Tier: r.Tier, Degraded: r.Degraded, Missing: r.Missing,
+// result is the engine answer whose interval body r is. P50 is dropped
+// — the encoder repeats Mbps there.
+func (r predictIntervalResponse) result() wire.Result {
+	return wire.Result{
+		Mbps: r.Mbps, Class: r.Class, Source: r.Source, Tier: r.Tier,
+		Degraded: r.Degraded, Missing: r.Missing, P10: r.P10, P90: r.P90,
 	}
-}
-
-// splitInterval is intervalResponse's inverse: the point form and band
-// the encoder takes. P50 is dropped — the encoder repeats Mbps there.
-func splitInterval(r predictIntervalResponse) (predictResponse, band) {
-	return predictResponse{
-		Mbps: r.Mbps, Class: r.Class, Group: r.Group, Source: r.Source,
-		Tier: r.Tier, Degraded: r.Degraded, Missing: r.Missing,
-	}, band{p10: r.P10, p90: r.P90}
 }
 
 // TestAppendPredictIntervalResponseMatchesStdlib pins the interval wire
@@ -67,14 +58,15 @@ func TestAppendPredictIntervalResponseMatchesStdlib(t *testing.T) {
 	var i int
 	for _, f := range floats {
 		for _, s := range strs {
+			src := strs[(i+3)%len(strs)]
 			resp := predictIntervalResponse{
 				Mbps:     f,
 				P10:      floats[i%len(floats)],
 				P50:      f,
 				P90:      floats[(i+5)%len(floats)],
 				Class:    s,
-				Group:    strs[i%len(strs)],
-				Source:   strs[(i+3)%len(strs)],
+				Group:    src,
+				Source:   src,
 				Tier:     i%5 - 1,
 				Degraded: i%2 == 0,
 				Missing:  missing[i%len(missing)],
@@ -84,8 +76,7 @@ func TestAppendPredictIntervalResponseMatchesStdlib(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			point, bd := splitInterval(resp)
-			got := appendPredict(nil, point, bd, true)
+			got := appendPredict(nil, resp.result(), true)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("interval encoder diverges for %+v:\n got %s\nwant %s", resp, got, want)
 			}
@@ -95,21 +86,26 @@ func TestAppendPredictIntervalResponseMatchesStdlib(t *testing.T) {
 
 // TestMarshalIntervalResponseMatchesEncoder pins the cached interval
 // body to json.Encoder output (trailing newline included), and the nil
-// returns on wire-unsafe values and bands.
+// returns on non-finite values and bands.
 func TestMarshalIntervalResponseMatchesEncoder(t *testing.T) {
-	resp := predictResponse{Mbps: 432.1875, Class: "High", Group: "L+M", Source: "L+M", Tier: 0}
-	bd := band{p10: 301.5, p90: 598.25, has: true}
+	resp := predictIntervalResponse{Mbps: 432.1875, P10: 301.5, P50: 432.1875, P90: 598.25,
+		Class: "High", Group: "L+M", Source: "L+M", Tier: 0}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(intervalResponse(resp, bd)); err != nil {
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
 		t.Fatal(err)
 	}
-	if got := marshalPredict(resp, bd, true); !bytes.Equal(got, buf.Bytes()) {
+	res := resp.result()
+	if got := marshalPredict(res, true); !bytes.Equal(got, buf.Bytes()) {
 		t.Fatalf("marshalPredict %q != json.Encoder %q", got, buf.Bytes())
 	}
-	if marshalPredict(predictResponse{Mbps: math.NaN()}, bd, true) != nil {
+	nan := res
+	nan.Mbps = math.NaN()
+	if marshalPredict(nan, true) != nil {
 		t.Fatal("non-finite mbps must have no interval wire form")
 	}
-	if marshalPredict(resp, band{p10: math.Inf(1), p90: 1}, true) != nil {
+	inf := res
+	inf.P10, inf.P90 = math.Inf(1), 1
+	if marshalPredict(inf, true) != nil {
 		t.Fatal("non-finite band must have no interval wire form")
 	}
 }
@@ -301,9 +297,8 @@ func TestPredictBatchIntervals(t *testing.T) {
 // must satisfy both negotiations as hits.
 func TestCacheDualBody(t *testing.T) {
 	c := newPredCache(8, nil, nil)
-	resp := predictResponse{Mbps: 500, Class: "High", Group: "L", Source: "L", Tier: 1}
-	bd := band{p10: 400, p90: 620, has: true}
-	comp := computerFunc(func() (predictResponse, band) { return resp, bd })
+	res := wire.Result{Mbps: 500, Class: "High", Source: "L", Tier: 1, P10: 400, P90: 620, HasInterval: true}
+	comp := computerFunc(func() wire.Result { return res })
 	key := predKey{}
 
 	_, body, outcome := c.run(key, comp, false)
@@ -321,12 +316,12 @@ func TestCacheDualBody(t *testing.T) {
 	if err := json.Unmarshal(ibody, &iv); err != nil {
 		t.Fatal(err)
 	}
-	if iv.P10 != bd.p10 || iv.P90 != bd.p90 || iv.P50 != resp.Mbps {
+	if iv.P10 != res.P10 || iv.P90 != res.P90 || iv.P50 != res.Mbps {
 		t.Fatalf("cached interval body %+v does not carry the leader's band", iv)
 	}
 }
 
-// computerFunc adapts a two-value function to the computer seam.
-type computerFunc func() (predictResponse, band)
+// computerFunc adapts a plain function to the cache's computer seam.
+type computerFunc func() wire.Result
 
-func (f computerFunc) computePredict() (predictResponse, band) { return f() }
+func (f computerFunc) computePredict() wire.Result { return f() }

@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -365,34 +364,6 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// predictResponse is the /predict wire form. Tier and Source attribute
-// the serving model tier; Tier is -1 when the map itself answered
-// (Source "map-cell" or "map-mean"). Group mirrors Source for clients of
-// the pre-fallback API.
-type predictResponse struct {
-	Mbps     float64  `json:"mbps"`
-	Class    string   `json:"class"`
-	Group    string   `json:"group"`
-	Source   string   `json:"source"`
-	Tier     int      `json:"tier"`
-	Degraded bool     `json:"degraded"`
-	Missing  []string `json:"missing,omitempty"`
-}
-
-// engineResponse converts one engine answer to the wire form. Group
-// mirrors Source for clients of the pre-fallback API.
-func engineResponse(p engine.Prediction) predictResponse {
-	return predictResponse{
-		Mbps:     p.Mbps,
-		Class:    p.Class,
-		Group:    p.Source,
-		Source:   p.Source,
-		Tier:     p.Tier,
-		Degraded: p.Degraded,
-		Missing:  p.Missing,
-	}
-}
-
 // predictCall is the pooled per-request scratch of handlePredict: it
 // carries the parsed query into the cache's compute seam as an
 // interface, so the hot path allocates neither a closure nor the
@@ -408,13 +379,17 @@ type predictCall struct {
 
 var predictCallPool = sync.Pool{New: func() any { return new(predictCall) }}
 
-// computePredict implements the cache's computer seam: one model walk,
-// observed into the tier-latency histogram. The walk carries the band,
-// so a single cache entry serves both negotiations.
-func (pc *predictCall) computePredict() (predictResponse, band) {
-	p := pc.eng.PredictInterval(pc.px, pc.q.Speed, pc.q.Bearing)
-	pc.s.m.tierLatency.With(p.Source).Observe(p.Walk.Seconds())
-	return engineResponse(p), bandOf(p)
+// computePredict implements the cache's computer seam: one engine
+// answer. A model walk (Tier >= 0) is observed into the tier-latency
+// histogram; a map-only answer is not. The answer carries the band, so a
+// single cache entry serves both negotiations.
+func (pc *predictCall) computePredict() wire.Result {
+	start := time.Now()
+	res := pc.eng.PredictInterval(pc.px, pc.q.Speed, pc.q.Bearing)
+	if res.Tier >= 0 {
+		pc.s.m.tierLatency.With(res.Source).Observe(time.Since(start).Seconds())
+	}
+	return res
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -440,35 +415,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	cache := s.cache
 	s.mu.RUnlock()
 	const route = "/predict"
-	wantIval := pt.Intervals
-	if pc.eng.Chain() == nil {
-		p := pc.eng.MapOnly(pc.px)
-		resp := engineResponse(p)
-		body := marshalPredict(resp, bandOf(p), wantIval)
-		if body == nil {
-			s.m.nonFinite.Inc()
-			wire.WriteError(w, http.StatusInternalServerError, "prediction is not finite")
-			return
-		}
-		s.m.tierServed.With(route, resp.Source).Inc()
-		annotatePredict(r.Context(), resp.Tier, resp.Source, "off")
-		wire.WriteJSONBytes(w, http.StatusOK, body)
-		return
-	}
+	// A model-less server has no cache (only a chain gets one), so its
+	// map-only answers take this uncached branch too.
 	if cache == nil {
-		resp, bd := pc.computePredict()
-		body := marshalPredict(resp, bd, wantIval)
+		res := pc.computePredict()
+		body := marshalPredict(res, pt.Intervals)
 		if body == nil {
 			s.m.nonFinite.Inc()
 			wire.WriteError(w, http.StatusInternalServerError, "prediction is not finite")
 			return
 		}
-		s.m.tierServed.With(route, resp.Source).Inc()
-		annotatePredict(r.Context(), resp.Tier, resp.Source, "off")
+		s.m.tierServed.With(route, res.Source).Inc()
+		annotatePredict(r.Context(), res.Tier, res.Source, "off")
 		wire.WriteJSONBytes(w, http.StatusOK, body)
 		return
 	}
-	resp, body, outcome := cache.run(quantizeKey(pc.px, pc.q.Speed, pc.q.Bearing), pc, wantIval)
+	res, body, outcome := cache.run(quantizeKey(pc.px, pc.q.Speed, pc.q.Bearing), pc, pt.Intervals)
 	if outcome == outcomeInvalid || body == nil {
 		s.m.nonFinite.Inc()
 		wire.WriteError(w, http.StatusInternalServerError, "prediction is not finite")
@@ -481,11 +443,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.m.cacheHits.Inc()
 	case outcomeMiss:
 		s.m.cacheMisses.Inc()
-		s.m.tierServed.With(route, resp.Source).Inc()
+		s.m.tierServed.With(route, res.Source).Inc()
 	case outcomeUncached:
 		s.m.cacheUncached.Inc()
 	}
-	annotatePredict(r.Context(), resp.Tier, resp.Source, outcome.String())
+	annotatePredict(r.Context(), res.Tier, res.Source, outcome.String())
 	wire.WriteJSONBytes(w, http.StatusOK, body)
 }
 
@@ -512,14 +474,13 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // finishBatch validates and publishes one batch answer in the
-// negotiated form. Per-query tier counters are incremented only once the
-// whole batch is known to be servable, so counters never include
-// predictions that were never sent. A point answer never renders the
-// band, so only its mbps must be finite.
-func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, form wire.Form) {
+// negotiated form. Every row must be finite (wire.Result.Finite, the
+// rule /predict applies) whichever form was negotiated. Per-query tier
+// counters are incremented only once the whole batch is known to be
+// servable, so counters never include predictions that were never sent.
+func (s *Server) finishBatch(w http.ResponseWriter, preds []wire.Result, form wire.Form) {
 	for i := range preds {
-		p := &preds[i]
-		if math.IsNaN(p.Mbps) || math.IsInf(p.Mbps, 0) || form.Intervals && !p.Finite() {
+		if !preds[i].Finite() {
 			s.m.nonFinite.Inc()
 			wire.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("query %d: prediction is not finite", i))
 			return
@@ -527,23 +488,8 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, f
 	}
 	s.countServed(preds)
 	if form.Binary {
-		rs := make([]wire.Result, len(preds))
-		for i := range preds {
-			p := &preds[i]
-			rs[i] = wire.Result{
-				Mbps:        p.Mbps,
-				Class:       p.Class,
-				Source:      p.Source,
-				Tier:        p.Tier,
-				Degraded:    p.Degraded,
-				Missing:     p.Missing,
-				P10:         p.P10,
-				P90:         p.P90,
-				HasInterval: p.HasInterval,
-			}
-		}
 		bufp := batchBufPool.Get().(*[]byte)
-		b, err := form.AppendFrame((*bufp)[:0], rs)
+		b, err := form.AppendFrame((*bufp)[:0], preds)
 		if err != nil {
 			batchBufPool.Put(bufp)
 			wire.WriteError(w, http.StatusInternalServerError, err.Error())
@@ -561,14 +507,14 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, f
 		return
 	}
 	// Render the array with the hand-rolled encoder — byte-identical to
-	// json.Encoder of the response structs — through a pooled buffer.
+	// encoding/json (see encode.go) — through a pooled buffer.
 	bufp := batchBufPool.Get().(*[]byte)
 	b := append((*bufp)[:0], '[')
 	for i := range preds {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendPredict(b, engineResponse(preds[i]), bandOf(preds[i]), form.Intervals)
+		b = appendPredict(b, preds[i], form.Intervals)
 	}
 	b = append(b, ']', '\n')
 	wire.WriteJSONBytes(w, http.StatusOK, b)
@@ -578,7 +524,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, f
 
 // countServed adds one batch to the per-tier served counters: one
 // counter lookup and one Add per distinct source, not per row.
-func (s *Server) countServed(preds []engine.Prediction) {
+func (s *Server) countServed(preds []wire.Result) {
 	type tally struct {
 		source string
 		n      uint64

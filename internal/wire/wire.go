@@ -85,26 +85,51 @@ type Query struct {
 	Bearing *float64 `json:"bearing,omitempty"`
 }
 
-// Result is one batch prediction answer. Group is not carried — it
-// mirrors Source on this wire, as documented on the JSON form. The
+// Result is one prediction answer with its serving attribution: the one
+// record the serving stack carries from the engine (internal/engine
+// answers in it) to the wire (internal/mapserver renders it as a JSON
+// body or into these frames). Group is not a field: it mirrors Source on
+// every wire, the JSON "group" of the pre-fallback API included. The
 // interval fields ride only on version-2 frames (AppendResultsIntervals
 // / ContentTypeIntervals); version-1 decodes leave them degenerate at
 // Mbps with HasInterval false.
 type Result struct {
-	Mbps     float64
-	Class    string
-	Source   string
-	Tier     int
+	// Mbps is the predicted downlink throughput.
+	Mbps float64
+	// Class is the §5.2 throughput class of Mbps ("low"/"medium"/"high").
+	Class string
+	// Source names the serving tier's feature group ("L+M+C", "L", ...),
+	// the chain's last resort, or map-cell / map-mean when the map itself
+	// answered.
+	Source string
+	// Tier is the serving tier index; -1 when the map answered.
+	Tier int
+	// Degraded reports that the preferred tier did not serve.
 	Degraded bool
-	// Missing lists the unusable features that demoted the row. The
-	// slice may be shared across rows (decoded rows with the same list
-	// share one): it must not be modified.
+	// Missing lists the unusable features that demoted the query. The
+	// slice may be shared across answers and rows (decoded rows with the
+	// same list share one): it must not be modified.
 	Missing []string
-	// P10 and P90 bound the nominal 80% band around Mbps (the p50).
+	// P10 and P90 bound the nominal 80% prediction band around Mbps
+	// (the p50). Every answer carries the band, always with
+	// 0 <= P10 <= Mbps <= P90; whether it goes on the wire is the
+	// transport's negotiation.
 	P10, P90 float64
-	// HasInterval distinguishes a calibrated band from the degenerate
-	// zero-width triple served by uncalibrated tiers.
+	// HasInterval reports a calibrated band; false means the triple is
+	// degenerate (P10 = Mbps = P90) because the serving tier — or the
+	// map itself — carries no conformal calibration.
 	HasInterval bool
+}
+
+// Finite reports whether the answer is servable: Mbps, P10 and P90 all
+// finite. JSON has no encoding for NaN or ±Inf, and the chain's "never
+// returns them" guarantee does not survive hostile model artifacts or
+// degenerate maps, so every serving path checks this one rule, whichever
+// form the answer goes out in, instead of trusting.
+func (r Result) Finite() bool {
+	return !math.IsNaN(r.Mbps) && !math.IsInf(r.Mbps, 0) &&
+		!math.IsNaN(r.P10) && !math.IsInf(r.P10, 0) &&
+		!math.IsNaN(r.P90) && !math.IsInf(r.P90, 0)
 }
 
 func appendU32(dst []byte, v uint32) []byte {

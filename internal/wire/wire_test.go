@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -59,6 +60,35 @@ func TestQueryRoundTrip(t *testing.T) {
 	// Determinism: re-encoding the decoded rows is byte-identical.
 	if again := AppendQueries(nil, back); !bytes.Equal(again, frame) {
 		t.Fatal("request frame is not deterministic under decode/encode")
+	}
+}
+
+// TestFinite pins the one servability rule: an answer is finite only
+// when Mbps, P10 and P90 all are, so NaN, +Inf or -Inf in any one of
+// them makes it unservable.
+func TestFinite(t *testing.T) {
+	ok := Result{Mbps: 42, P10: 30, P90: 55}
+	if !ok.Finite() {
+		t.Fatalf("%+v is finite", ok)
+	}
+	fields := []struct {
+		name string
+		set  func(*Result, float64)
+	}{
+		{"mbps", func(r *Result, v float64) { r.Mbps = v }},
+		{"p10", func(r *Result, v float64) { r.P10 = v }},
+		{"p90", func(r *Result, v float64) { r.P90 = v }},
+	}
+	for _, fd := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%v", fd.name, v), func(t *testing.T) {
+				r := ok
+				fd.set(&r, v)
+				if r.Finite() {
+					t.Fatalf("%+v reports finite", r)
+				}
+			})
+		}
 	}
 }
 
